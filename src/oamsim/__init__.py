@@ -29,7 +29,7 @@ from .bell import (
 )
 from .lgfield import FarFieldImage, LgDecomposition, LgMode, decompose_plate_output, far_field
 from .overlap import (
-    OverlapCurve,
+    SampledCurve,
     binary_mask_overlap,
     sample_curve,
     spiral_overlap_amplitude,
@@ -39,7 +39,6 @@ from .overlap import (
 from .plates import BinarySectors, PhasePlate, Spiral, Step, adjoint, apply, plate_state
 from .twophoton import (
     AnalyzerSetting,
-    CoincidenceFringe,
     TwoPhotonState,
     UnsupportedAnalyzerError,
     coincidence_amplitude,

@@ -80,9 +80,6 @@ def _canonical_pieces(boundaries, factors):
             continue
         else:
             merged.append((b, f))
-    # merge wrap-around duplicate
-    if len(merged) > 1 and abs(merged[0][1] - merged[-1][1]) < 1e-15 and merged[0][0] == 0.0:
-        pass  # keeping both is harmless; piece at 0 stays canonical
     bs = tuple(b for b, _ in merged)
     fs = tuple(complex(f) for _, f in merged)
     return bs, fs
@@ -105,18 +102,6 @@ class ClosedForm:
     def from_pieces(nu, boundaries, factors) -> "ClosedForm":
         bs, fs = _canonical_pieces(boundaries, factors)
         return ClosedForm(float(nu), bs, fs)
-
-    @property
-    def jumps(self) -> tuple:
-        """Angles where the piecewise factor changes (phase discontinuities
-        beyond the smooth e^{i*nu*theta} winding)."""
-        out = []
-        n = len(self.boundaries)
-        for k in range(n):
-            prev = self.factors[(k - 1) % n]
-            if abs(self.factors[k] - prev) > 1e-15:
-                out.append(self.boundaries[k])
-        return tuple(out)
 
     def factor_at(self, theta: float) -> complex:
         t = wrap_angle(theta)
@@ -159,7 +144,7 @@ def integer_mode(l: int) -> ClosedForm:
 def sample_midpoints(state: ClosedForm, grid: AngularGrid) -> Sampled:
     """Sample at the cell midpoints theta_k + spacing/2.
 
-    With phase jumps sitting on grid nodes this is the midpoint rectangle
+    With phase discontinuities on grid nodes this is the midpoint rectangle
     rule: exact for piecewise-constant integrands and immune to the
     one-ulp ambiguity of evaluating directly on a jump.
     """

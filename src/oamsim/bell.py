@@ -2,10 +2,10 @@
 correlation values E, the Bell parameter S, and a derivative-free search
 over binary sector masks for the algebraic-maximum S = 4 plate.
 
-Two evaluation paths coexist: floating point for arbitrary fringes, and
-exact rational arithmetic (angles as fractions of pi) for the parabolic
-fringes, where S = 16/5 holds exactly and tolerances would only mask sign
-errors.
+One assembly serves two number types: floating point for arbitrary
+fringes, and exact rational arithmetic (angles as fractions of pi) for the
+parabolic fringes, where S = 16/5 holds exactly and tolerances would only
+mask sign errors.
 """
 
 from __future__ import annotations
@@ -19,10 +19,12 @@ import numpy as np
 
 from .angular import TWO_PI, wrap_angle
 from .plates import BinarySectors, to_dict
-from .twophoton import fringe_probability_exact
+from .twophoton import fringe_probability, fringe_probability_exact
 
 _PAIR_KEYS = ("a1a2", "a1pa2", "a1a2p", "a1pa2p")
 _PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
+# a float four-probability sum at or below this counts as vanishing
+_FLOAT_FLOOR = 1e-15
 
 
 class DegenerateFringeError(ZeroDivisionError):
@@ -79,34 +81,49 @@ POLARIZATION_SETTINGS_PI = (
     Fraction(-1, 8), Fraction(1, 8), Fraction(-1, 4), Fraction(0), Fraction(1, 2))
 
 
-def _prob(fringe, delta: float) -> float:
-    if callable(fringe):
-        return fringe(delta)
-    return fringe.probability(delta)
-
-
 def coincidence_probability(fringe, x: float, y: float) -> float:
     """P(x, y) = fringe((y - x) mod 2*pi), radial constant normalized to 1."""
-    return _prob(fringe, wrap_angle(y - x))
+    return fringe(wrap_angle(y - x))
 
 
-def _four_probabilities(fringe, x, y, perp):
+def _four_probabilities(fringe, wrap, x, y, perp):
+    """P(x,y), P(x',y'), P(x,y'), P(x',y) with the primes at +perp; ``wrap``
+    reduces the relative angle into the fringe's domain."""
     return (
-        coincidence_probability(fringe, x, y),
-        coincidence_probability(fringe, x + perp, y + perp),
-        coincidence_probability(fringe, x, y + perp),
-        coincidence_probability(fringe, x + perp, y),
+        fringe(wrap(y - x)),
+        fringe(wrap((y + perp) - (x + perp))),
+        fringe(wrap((y + perp) - x)),
+        fringe(wrap(y - (x + perp))),
     )
+
+
+def _correlation(four, floor, x, y):
+    """E = [P(x,y) + P(x',y') - P(x,y') - P(x',y)] / [sum of the four]; a sum
+    at or below ``floor`` is degenerate."""
+    direct, both, cross_y, cross_x = four
+    denom = direct + both + cross_y + cross_x
+    if denom <= floor:
+        raise DegenerateFringeError(f"vanishing coincidence rate at settings ({x}, {y})")
+    return (direct + both - cross_y - cross_x) / denom
+
+
+def _chsh(fringe, wrap, pairs, perp, floor):
+    """(S, E per pair, 16 probabilities) in the number type the fringe
+    returns: S = E(a1,a2) - E(a1',a2) + E(a1,a2') + E(a1',a2')."""
+    e_values, probabilities = [], []
+    for x, y in pairs:
+        four = _four_probabilities(fringe, wrap, x, y, perp)
+        probabilities.extend(four)
+        e_values.append(_correlation(four, floor, x, y))
+    e0, e1, e2, e3 = e_values
+    return e0 - e1 + e2 + e3, e_values, probabilities
 
 
 def e_correlation(fringe, x: float, y: float, perp_offset: float) -> float:
     """[P(x,y) + P(x',y') - P(x,y') - P(x',y)] / [sum of the four],
     primes denoting the orthogonal settings x + perp, y + perp."""
-    direct, both, cross_y, cross_x = _four_probabilities(fringe, x, y, perp_offset)
-    denom = direct + both + cross_y + cross_x
-    if denom <= 1e-15:
-        raise DegenerateFringeError(f"vanishing coincidence rate at settings ({x}, {y})")
-    return (direct + both - cross_y - cross_x) / denom
+    four = _four_probabilities(fringe, wrap_angle, x, y, perp_offset)
+    return _correlation(four, _FLOAT_FLOOR, x, y)
 
 
 @dataclass(frozen=True)
@@ -133,41 +150,16 @@ class BellResult:
 
 def chsh_s(fringe, settings: BellSettings = SPIRAL_SETTINGS, fringe_id: str = "") -> BellResult:
     """Assemble S = E(a1,a2) - E(a1',a2) + E(a1,a2') + E(a1',a2')."""
-    e_values, probabilities = {}, []
-    s = 0.0
-    for key, sign, (x, y) in zip(_PAIR_KEYS, _PAIR_SIGNS, settings.pairs()):
-        four = _four_probabilities(fringe, x, y, settings.perp_offset)
-        probabilities.extend(four)
-        denom = sum(four)
-        if denom <= 1e-15:
-            raise DegenerateFringeError(f"vanishing coincidence rate for pair {key}")
-        e = (four[0] + four[1] - four[2] - four[3]) / denom
-        e_values[key] = e
-        s += sign * e
-    return BellResult(s, e_values, tuple(probabilities), settings, fringe_id)
+    s, e_values, p = _chsh(fringe, wrap_angle, settings.pairs(), settings.perp_offset, _FLOAT_FLOOR)
+    return BellResult(s, dict(zip(_PAIR_KEYS, e_values)), tuple(p), settings, fringe_id)
 
 
 def chsh_s_exact(fringe, settings_pi=SPIRAL_SETTINGS_PI) -> Fraction:
     """S in exact rational arithmetic; angles are fractions of pi and the
     fringe must be rational in the relative angle (parabolic families)."""
     a1, a1p, a2, a2p, perp = settings_pi
-
-    def prob(x, y):
-        if callable(fringe):
-            return fringe((y - x) % 2)
-        return fringe.probability_exact((y - x) % 2)
-
-    s = Fraction(0)
-    for sign, (x, y) in zip((1, -1, 1, 1), ((a1, a2), (a1p, a2), (a1, a2p), (a1p, a2p))):
-        direct = prob(x, y)
-        both = prob(x + perp, y + perp)
-        cross_y = prob(x, y + perp)
-        cross_x = prob(x + perp, y)
-        denom = direct + both + cross_y + cross_x
-        if denom == 0:
-            raise DegenerateFringeError("vanishing coincidence rate in exact path")
-        s += sign * (direct + both - cross_y - cross_x) / denom
-    return s
+    pairs = ((a1, a2), (a1p, a2), (a1, a2p), (a1p, a2p))
+    return _chsh(fringe, lambda t: t % 2, pairs, perp, 0)[0]
 
 
 def exact_fringe_for(plate):
@@ -181,7 +173,8 @@ def s4_certificate(fringe, settings: BellSettings, tol: float = 1e-8) -> dict:
     of the '-' pair vanish, while their partners stay finite."""
     checks = []
     for sign, (x, y) in zip(_PAIR_SIGNS, settings.pairs()):
-        direct, both, cross_y, cross_x = _four_probabilities(fringe, x, y, settings.perp_offset)
+        direct, both, cross_y, cross_x = _four_probabilities(
+            fringe, wrap_angle, x, y, settings.perp_offset)
         if sign > 0:
             ok = cross_y <= tol and cross_x <= tol and direct > tol and both > tol
         else:
@@ -229,24 +222,15 @@ def _mask_objective(phi, boundaries, settings):
     mask = _mask_from_boundaries(phi, boundaries)
     if mask is None:
         return -math.inf, None
-    fringe = lambda delta: abs(_binary_fringe(mask, delta)) ** 2
     try:
-        result = chsh_s(fringe, settings, fringe_id="binary-mask")
+        return evaluate_mask(mask, settings).s, mask
     except DegenerateFringeError:
         return -math.inf, mask
-    return result.s, mask
-
-
-def _binary_fringe(mask, delta):
-    from .overlap import binary_mask_overlap
-
-    return binary_mask_overlap(mask, delta)
 
 
 def evaluate_mask(mask: BinarySectors, settings: BellSettings = SPIRAL_SETTINGS) -> BellResult:
     """Bell parameter of a given mask's coincidence fringe."""
-    fringe = lambda delta: abs(_binary_fringe(mask, delta)) ** 2
-    return chsh_s(fringe, settings, fringe_id="binary-mask")
+    return chsh_s(lambda delta: fringe_probability(mask, delta), settings, fringe_id="binary-mask")
 
 
 def search_max_s(sector_count: int, phi: float,

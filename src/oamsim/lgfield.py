@@ -152,8 +152,8 @@ def lg_overlap(mode_a: LgMode, mode_b: LgMode, order: int = 200) -> complex:
         la = eval_genlaguerre(mode_a.p, l, nodes)
         lb = eval_genlaguerre(mode_b.p, l, nodes)
         radial = float(np.sum(np.exp(log_weights) * la * lb))
-    # 2*pi from the angular integral, (w0^2/4) 2^l from substitution
-    return complex(2.0 * math.pi * ca * cb * (w0**2 / 4.0) * radial * 2.0 ** (-l) * 2.0**l)
+    # 2*pi from the angular integral, w0^2/4 from substitution
+    return complex(2.0 * math.pi * ca * cb * (w0**2 / 4.0) * radial)
 
 
 def radial_overlaps(l: int, p_max: int, order: int = 200) -> np.ndarray:

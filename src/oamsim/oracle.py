@@ -21,6 +21,10 @@ from .plates import plate_state
 from .twophoton import fringe_probability
 
 
+class OracleMismatch(AssertionError):
+    """A closed-form value disagrees with its quadrature re-derivation."""
+
+
 @dataclass(frozen=True)
 class OracleReport:
     quantity: str
@@ -33,6 +37,13 @@ class OracleReport:
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__)
+
+    def require(self) -> "OracleReport":
+        """This report, or OracleMismatch if the check failed."""
+        if not self.passed:
+            raise OracleMismatch(f"{self.quantity}: closed form {self.closed_form} disagrees "
+                                 f"with quadrature {self.oracle} (tolerance {self.tolerance})")
+        return self
 
 
 def _report(quantity, closed, oracle, grid, tol) -> OracleReport:

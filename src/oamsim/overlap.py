@@ -1,4 +1,5 @@
-"""Closed-form rotation-overlap laws for the three plate families.
+"""Closed-form rotation-overlap laws for the three plate families, and the
+sampled-curve table that both these laws and the coincidence fringes use.
 
 Each function returns the overlap between a plate-generated basis state and
 the same state with its edge rotated, as derived analytically; the
@@ -17,9 +18,8 @@ import csv
 import math
 from dataclasses import dataclass, replace
 
-from .angular import TWO_PI, inner_product, sample_midpoints, wrap_angle
-from .plates import BinarySectors, Spiral, Step, plate_state, sector_intervals
-from .angular import AngularGrid
+from .angular import TWO_PI, AngularGrid, wrap_angle
+from .plates import BinarySectors, PhasePlate, Spiral, Step, sector_intervals, to_dict
 
 
 def spiral_overlap_amplitude(l: int, j: int, lam: float, alpha: float) -> complex:
@@ -91,33 +91,26 @@ def closed_form_probability(plate, alpha: float) -> float:
 
 
 @dataclass(frozen=True)
-class OverlapCurve:
-    """Rotation-overlap probability sampled over alpha in [0, 2*pi)."""
+class SampledCurve:
+    """A plate's probability law sampled over an angle in [0, 2*pi)."""
 
-    family: str
-    parameter: float
-    samples: tuple  # of (alpha, probability)
-    closed_form_id: str
+    plate: PhasePlate
+    samples: tuple  # of (angle, probability)
+    header: tuple  # the two CSV column names
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["alpha_rad", "probability"])
+            writer.writerow(self.header)
             for a, p in self.samples:
                 writer.writerow([f"{a:.12g}", f"{p:.12g}"])
 
-
-def _quadrature_probability(plate, alpha: float, grid: AngularGrid) -> float:
-    """Grid-quadrature overlap with the rotation snapped to grid nodes, so
-    the rectangle rule sees every phase jump on a node and stays exact."""
-    a = grid.nearest_node(alpha)
-    s0 = sample_midpoints(plate_state(plate, 0), grid)
-    s1 = sample_midpoints(plate_state(replace(plate, alpha=wrap_angle(plate.alpha + a)), 0), grid)
-    return abs(inner_product(s0, s1)) ** 2
+    def report(self) -> dict:
+        return {"plate": to_dict(self.plate), "n_samples": len(self.samples)}
 
 
 def sample_curve(plate, n_samples: int, verify: bool = False,
-                 grid: AngularGrid | None = None, verify_tol: float = 1e-8) -> OverlapCurve:
+                 grid: AngularGrid | None = None, verify_tol: float = 1e-8) -> SampledCurve:
     """Uniformly sample the plate's rotation-overlap law on [0, 2*pi).
 
     With ``verify`` on, each sample angle is snapped to the quadrature grid
@@ -128,28 +121,17 @@ def sample_curve(plate, n_samples: int, verify: bool = False,
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if verify:
+        from .oracle import verify_overlap  # the oracle imports this module
+
     grid = grid or AngularGrid()
-    if isinstance(plate, Spiral):
-        family, parameter = "spiral", plate.ell - math.floor(plate.ell)
-        form_id = "spiral-rotation-overlap"
-    elif isinstance(plate, Step):
-        family, parameter = "step", plate.phi
-        form_id = "step-rotation-overlap"
-    else:
-        family, parameter = "binary", plate.phi
-        form_id = "binary-mask-overlap"
     samples = []
     for k in range(n_samples):
         a = TWO_PI * k / n_samples
         if verify:
             a = grid.nearest_node(a)
-            p = closed_form_probability(plate, a)
-            q = _quadrature_probability(plate, a, grid)
-            if abs(p - q) > verify_tol:
-                raise AssertionError(
-                    f"closed form {p} disagrees with quadrature {q} at alpha={a}"
-                )
+            p = verify_overlap(plate, a, verify_tol, grid).require().closed_form
         else:
             p = closed_form_probability(plate, a)
         samples.append((a, p))
-    return OverlapCurve(family, parameter, tuple(samples), form_id)
+    return SampledCurve(plate, tuple(samples), ("alpha_rad", "probability"))

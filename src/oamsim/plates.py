@@ -26,6 +26,12 @@ from .angular import (
 )
 
 
+def _require_finite(plate, *names):
+    for name in names:
+        if not math.isfinite(getattr(plate, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(plate, name)}")
+
+
 @dataclass(frozen=True)
 class Spiral:
     """Spiral phase plate of step index ell with its edge at angle alpha.
@@ -39,6 +45,7 @@ class Spiral:
     alpha: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "ell", "alpha")
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
 
 
@@ -51,6 +58,7 @@ class Step:
     alpha: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "phi", "alpha")
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
 
 
@@ -64,6 +72,8 @@ class BinarySectors:
     alpha: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "phi", "alpha")
+        # the interval test below also rejects non-finite bounds
         secs = tuple((float(a), float(b)) for a, b in self.sectors)
         if not secs:
             raise ValueError("at least one sector required")

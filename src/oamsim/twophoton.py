@@ -5,25 +5,25 @@ The pump is restricted to a pure OAM mode (index q); the radial factor and
 the fiber projections are absorbed into one overall constant, normalized to
 unity, since the correlation function built downstream cancels it. The
 coincidence probability depends only on the relative orientation of the two
-analyzers, which the fringe object exposes both as a closed form and as
-uniform samples.
+analyzers: ``fringe_probability`` gives it in closed form and
+``coincidence_fringe`` samples it uniformly.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .angular import TWO_PI, NonIntegerOamState, wrap_angle
 from .overlap import (
+    SampledCurve,
     binary_mask_overlap,
+    closed_form_probability,
     spiral_overlap_amplitude,
     step_overlap_amplitude,
 )
-from .plates import BinarySectors, PhasePlate, Spiral, Step, to_dict
+from .plates import PhasePlate, Spiral, Step
 
 _HALF_INT_TOL = 1e-12
 
@@ -105,18 +105,17 @@ def coincidence_amplitude(state: TwoPhotonState, signal: AnalyzerSetting,
 
 def fringe_probability(plate, delta: float) -> float:
     """Closed-form coincidence probability at relative orientation delta,
-    with the radial constant normalized to 1."""
+    with the radial constant normalized to 1. Step and binary plates follow
+    their rotation-overlap law; a half-integer spiral gives the parabola."""
     d = wrap_angle(delta)
-    if isinstance(plate, Spiral):
-        _, lam = _spiral_parts(plate)
-        if abs(lam - 0.5) > _HALF_INT_TOL:
-            raise UnsupportedAnalyzerError("spiral coincidence fringe needs a half-integer step")
-        return (1.0 - d / math.pi) ** 2
-    if isinstance(plate, Step):
-        return step_overlap_amplitude(plate.phi, d) ** 2
-    if isinstance(plate, BinarySectors):
-        return abs(binary_mask_overlap(plate, d)) ** 2
-    raise TypeError(f"unknown plate {type(plate).__name__}")
+    if not isinstance(plate, Spiral):
+        return closed_form_probability(plate, d)
+    _, lam = _spiral_parts(plate)
+    if abs(lam - 0.5) > _HALF_INT_TOL:
+        raise UnsupportedAnalyzerError("spiral coincidence fringe needs a half-integer step")
+    # the parabola itself: the overlap law's cos^2(pi/2) term would leave
+    # ~4e-33 where the fringe has its zero
+    return (1.0 - d / math.pi) ** 2
 
 
 def fringe_probability_exact(plate, t: Fraction) -> Fraction:
@@ -138,40 +137,7 @@ def fringe_probability_exact(plate, t: Fraction) -> Fraction:
     raise UnsupportedAnalyzerError("no exact-rational fringe for this plate family")
 
 
-@dataclass(frozen=True)
-class CoincidenceFringe:
-    """Coincidence probability versus relative analyzer angle delta."""
-
-    plate: PhasePlate
-    samples: tuple  # of (delta, probability)
-    normalization: str = "unit-radial-constant"
-
-    def probability(self, delta: float) -> float:
-        return fringe_probability(self.plate, delta)
-
-    def probability_exact(self, t: Fraction) -> Fraction:
-        return fringe_probability_exact(self.plate, t)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["delta_rad", "coincidence_probability"])
-            for d, p in self.samples:
-                writer.writerow([f"{d:.12g}", f"{p:.12g}"])
-
-    def report(self) -> dict:
-        return {
-            "plate": to_dict(self.plate),
-            "n_samples": len(self.samples),
-            "normalization": self.normalization,
-        }
-
-    def write_report(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.report(), fh, indent=2)
-
-
-def coincidence_fringe(state: TwoPhotonState, plate, n_samples: int) -> CoincidenceFringe:
+def coincidence_fringe(state: TwoPhotonState, plate, n_samples: int) -> SampledCurve:
     """Sample |B(delta)|^2 uniformly over delta in [0, 2*pi)."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -182,4 +148,4 @@ def coincidence_fringe(state: TwoPhotonState, plate, n_samples: int) -> Coincide
         (TWO_PI * k / n_samples, fringe_probability(plate, TWO_PI * k / n_samples))
         for k in range(n_samples)
     )
-    return CoincidenceFringe(plate, samples)
+    return SampledCurve(plate, samples, ("delta_rad", "coincidence_probability"))

@@ -82,6 +82,10 @@ def test_cosine_squared_fringe_gives_quantum_bound():
 def test_degenerate_fringe_raises():
     with pytest.raises(DegenerateFringeError):
         chsh_s(lambda d: 0.0, SPIRAL_SETTINGS)
+    # the exact path treats only an exactly zero sum as degenerate
+    with pytest.raises(DegenerateFringeError):
+        chsh_s_exact(lambda t: Fraction(0), SPIRAL_SETTINGS_PI)
+    assert chsh_s_exact(lambda t: Fraction(1, 10**30), SPIRAL_SETTINGS_PI) == 0
 
 
 def test_result_serialization(tmp_path):

@@ -8,6 +8,12 @@ import pytest
 from oamsim.cli import InputError, main, parse_angle
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    return err
+
+
 def test_parse_angle_literals():
     assert parse_angle("pi/4") == pytest.approx(math.pi / 4)
     assert parse_angle("-pi/2") == pytest.approx(-math.pi / 2)
@@ -18,6 +24,13 @@ def test_parse_angle_literals():
 
 def test_parse_angle_rejects_garbage():
     for bad in ("", "import os", "pi; x", "exp(1)", "__x__"):
+        with pytest.raises(InputError):
+            parse_angle(bad)
+
+
+def test_parse_angle_rejects_powers():
+    # '9**9**7' would take seconds to evaluate; it must fail before that
+    for bad in ("2**3", "9**9**7"):
         with pytest.raises(InputError):
             parse_angle(bad)
 
@@ -133,13 +146,56 @@ def test_verify_sweep(tmp_path, capsys):
     assert out.read_text().strip()
 
 
-def test_exit_code_bad_input(capsys):
-    assert main(["bell", "--plate", "spiral"]) == 2  # missing --ell
-    assert main(["bell", "--plate", "spiral", "--ell", "0.5",
-                 "--alpha", "nonsense"]) == 2
+def test_exit_code_bad_input(tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out")]
+    for args in (
+        ["bell", "--plate", "spiral"],  # missing --ell
+        ["bell", "--plate", "spiral", "--ell", "0.5", "--alpha", "nonsense"],
+        ["bell", "--ell", "inf"],
+        ["bell", "--ell", "nan"],
+        ["farfield", "--ell", "nan", "--grid", "64"],
+        ["decompose", "--ell", "inf"],
+    ):
+        assert main(args + out) == 2, args
+        _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_io_failure(tmp_path):
     code = main(["bell", "--plate", "spiral", "--ell", "0.5",
                  "--out", str(tmp_path / "no" / "such" / "dir" / "x.json")])
     assert code == 3
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "binary", "phi": math.pi},  # no sectors
+    {"type": "spiral", "ell": 0.5},
+    {"type": "step", "phi": math.pi},
+    [0.0, 1.0],
+])
+def test_search_init_rejects_malformed_mask(tmp_path, capsys, doc):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(doc))
+    code = main(["search", "--budget", "0", "--init", str(init),
+                 "--out", str(tmp_path / "mask.json")])
+    assert code == 2
+    _one_line_error(capsys)
+
+
+def test_search_init_unreadable_is_input_error(tmp_path, capsys):
+    code = main(["search", "--budget", "0", "--init", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "mask.json")])
+    assert code == 2
+    assert "cannot read plate file" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("kind", ["overlap", "coincidence"])
+def test_fringe_verify_mismatch_exits_1(tmp_path, capsys, kind):
+    # a sector edge at 1 rad lies between quadrature nodes
+    plate = tmp_path / "plate.json"
+    plate.write_text(json.dumps(
+        {"type": "binary", "phi": math.pi, "sectors": [[0.0, 1.0]]}))
+    code = main(["fringe", "--plate-json", str(plate), "--kind", kind, "--verify",
+                 "--samples", "8", "--out", str(tmp_path / "f.csv")])
+    assert code == 1
+    assert _one_line_error(capsys).startswith("oracle mismatch:")

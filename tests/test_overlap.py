@@ -17,6 +17,7 @@ from oamsim.overlap import (
     step_overlap_amplitude,
     step_overlap_probability,
 )
+from oamsim.oracle import OracleMismatch
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state
 
 
@@ -127,6 +128,13 @@ def test_sample_curve_verified_against_quadrature():
     for plate in (Spiral(2.25), Step(2 * math.pi / 3), mask):
         curve = sample_curve(plate, 32, verify=True)
         assert len(curve.samples) == 32
+
+
+def test_sample_curve_verify_raises_on_mismatch():
+    # a sector edge at 1 rad lies between grid nodes, so the quadrature is off
+    mask = BinarySectors(math.pi, ((0.0, 1.0),))
+    with pytest.raises(OracleMismatch):
+        sample_curve(mask, 8, verify=True)
 
 
 def test_sample_curve_validation():

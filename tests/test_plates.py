@@ -137,6 +137,22 @@ def test_binary_validation():
         BinarySectors(1.0, ((0.0, TWO_PI),))
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_parameters_rejected(bad):
+    for make in (
+        lambda: Spiral(bad),
+        lambda: Spiral(0.5, bad),
+        lambda: Step(bad),
+        lambda: Step(math.pi, bad),
+        lambda: BinarySectors(bad, ((0.0, 1.0),)),
+        lambda: BinarySectors(math.pi, ((0.0, 1.0),), bad),
+        lambda: BinarySectors(math.pi, ((0.0, bad),)),
+        lambda: BinarySectors(math.pi, ((bad, 1.0),)),
+    ):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_json_roundtrip():
     for plate in (
         Spiral(0.5, 1.0),
