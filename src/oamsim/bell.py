@@ -19,7 +19,7 @@ import numpy as np
 
 from .angular import TWO_PI, wrap_angle
 from .plates import BinarySectors, to_dict
-from .twophoton import fringe_probability, fringe_probability_exact
+from .twophoton import fringe_probability
 
 _PAIR_KEYS = ("a1a2", "a1pa2", "a1a2p", "a1pa2p")
 _PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
@@ -162,11 +162,6 @@ def chsh_s_exact(fringe, settings_pi=SPIRAL_SETTINGS_PI) -> Fraction:
     return _chsh(fringe, lambda t: t % 2, pairs, perp, 0)[0]
 
 
-def exact_fringe_for(plate):
-    """Exact-rational fringe callable (argument: delta as fraction of pi)."""
-    return lambda t: fringe_probability_exact(plate, t)
-
-
 def s4_certificate(fringe, settings: BellSettings, tol: float = 1e-8) -> dict:
     """Check the zero/nonzero coincidence pattern that forces S = 4: the
     cross probabilities of the three '+' pairs and the direct probabilities
@@ -269,7 +264,7 @@ def search_max_s(sector_count: int, phi: float,
         step = initial_step
         while used < max_evals and step > 1e-12:
             improved = False
-            for i in range(n_params):
+            for i in range(len(x)):
                 for direction in (1.0, -1.0):
                     if used >= max_evals:
                         return

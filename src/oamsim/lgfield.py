@@ -1,39 +1,27 @@
-"""Laguerre-Gaussian transverse fields: waist-plane mode amplitudes, radial
-overlap integrals by generalized Gauss-Laguerre quadrature, decomposition of
-plate outputs into LG components, and far-field diffraction images by FFT.
+"""Laguerre-Gaussian transverse fields: waist-plane mode amplitudes, closed-
+form radial overlaps, decomposition of plate outputs into LG components, and
+far-field diffraction images by FFT.
 
 The decomposition factorizes: the azimuthal spectrum of the plate profile is
 exact (piecewise integration), and the radial overlap of each LG radial
-function with the fundamental Gaussian is computed with the weight
-x^(|l|/2) e^(-x) built into the quadrature nodes, so the remaining integrand
-is a polynomial and the rule is exact.
-
-The quadrature nodes are the eigenvalues of the Laguerre Jacobi matrix; each
-weight is then computed from its own node through the Christoffel function,
-in log space, so it is accurate relative to its size even where it is far
-below the smallest double. Weights read off eigenvectors (Golub-Welsch) are
-accurate only relative to the largest weight, and the e^(+x/2) factor of the
-radial overlaps amplifies that error past any bound at the far nodes, by an
-amount that depends on the LAPACK eigenvector driver. The kernels run with
-floating-point overflow and invalid operations raised as errors, so a lost
-weight fails loudly instead of yielding a wrong component count.
+function with the fundamental Gaussian is a ratio of Gamma functions,
+evaluated in log space so it stays accurate at any p and |l|. The
+generalized Gauss-Laguerre rule in ``oracle`` recomputes the same overlaps
+by quadrature, as an independent check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.ndimage import map_coordinates
 from scipy.special import eval_genlaguerre, gammaln
 
 from .angular import oam_spectrum
-from .plates import Spiral, plate_state, profile
+from .plates import plate_state, profile
 
 
 @dataclass(frozen=True)
@@ -73,114 +61,24 @@ def lg_amplitude(mode: LgMode, r, theta) -> np.ndarray:
     return amp * np.exp(1j * l * np.asarray(theta, dtype=float))
 
 
-# overflow or NaN in the quadrature kernels is a bug, never a result;
-# underflow of e^(-x) at the far nodes is harmless and stays silent
-_LOUD = dict(over="raise", invalid="raise")
-
-
-@lru_cache(maxsize=None)
-def _gl_nodes(order: int, alpha: float):
-    """Generalized Gauss-Laguerre nodes and log-weights for the weight
-    x^alpha e^{-x}.
-
-    The nodes are the eigenvalues of the Jacobi matrix (stable at high
-    order, where the library's Newton-iteration root finder overflows).
-    Each weight is the Christoffel function at its node,
-    w_i = Gamma(alpha+1) / sum_{k<order} p_k(x_i)^2, with p_k the
-    orthonormal polynomials of the same Jacobi matrix (p_0 = 1 here, the
-    mass going into the numerator). The three-term recurrence runs with
-    power-of-two renormalisation, exact in binary, and an integer running
-    exponent, so nothing overflows and every weight is accurate relative
-    to its own size, however small. No eigenvectors are used, so the
-    weights do not depend on the LAPACK eigenvector driver.
-    """
-    k = np.arange(order, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    with np.errstate(**_LOUD):
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-        # invariant: sum_{j<=k} p_j^2 = total * 4^exponent, p = q * 2^exponent
-        q_prev = np.zeros_like(nodes)
-        q = np.ones_like(nodes)
-        total = np.ones_like(nodes)
-        exponent = np.zeros(nodes.shape, dtype=np.int64)
-        for j in range(order - 1):
-            back = off[j - 1] * q_prev if j else 0.0
-            q_prev, q = q, ((nodes - diag[j]) * q - back) / off[j]
-            total += q * q
-            shift = np.frexp(total)[1] // 2
-            q = np.ldexp(q, -shift)
-            q_prev = np.ldexp(q_prev, -shift)
-            total = np.ldexp(total, -2 * shift)
-            exponent += shift
-        log_weights = gammaln(alpha + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
-    return nodes, log_weights
-
-
-def _laguerre_all(p_max: int, alpha: float, x: np.ndarray,
-                  scale: np.ndarray | None = None) -> np.ndarray:
-    """L_p^{alpha}(x) for every p in 0..p_max, via the three-term
-    recurrence; shape (p_max+1, len(x)).
-
-    ``scale`` multiplies every row (the recurrence is linear in p, so a
-    fixed per-node factor propagates exactly); passing e^{-x/2} keeps the
-    values bounded at nodes far out on the exponential tail, where the raw
-    polynomials overflow long before their weighted contribution matters.
-    """
-    out = np.empty((p_max + 1, len(x)))
-    out[0] = 1.0 if scale is None else scale
-    if p_max >= 1:
-        out[1] = (1.0 + alpha - x) * out[0]
-    for p in range(1, p_max):
-        out[p + 1] = ((2 * p + alpha + 1 - x) * out[p] - (p + alpha) * out[p - 1]) / (p + 1)
-    return out
-
-
-def lg_overlap(mode_a: LgMode, mode_b: LgMode, order: int = 200) -> complex:
-    """<a|b> over the plane; Kronecker deltas for the orthonormal basis."""
-    if mode_a.w0 != mode_b.w0:
-        raise ValueError("mixed-waist overlaps are out of scope")
-    if mode_a.l != mode_b.l:
-        return 0.0 + 0.0j  # angular integral vanishes exactly
-    l = abs(mode_a.l)
-    # radial integrand in x = 2 r^2 / w0^2: weight x^l e^{-x} times L_pa L_pb
-    nodes, log_weights = _gl_nodes(order, float(l))
-    w0 = mode_a.w0
-    ca = _norm_constant(mode_a.l, mode_a.p, w0) * (-1.0) ** mode_a.p
-    cb = _norm_constant(mode_b.l, mode_b.p, w0) * (-1.0) ** mode_b.p
-    with np.errstate(**_LOUD):
-        la = eval_genlaguerre(mode_a.p, l, nodes)
-        lb = eval_genlaguerre(mode_b.p, l, nodes)
-        radial = float(np.sum(np.exp(log_weights) * la * lb))
-    # 2*pi from the angular integral, w0^2/4 from substitution
-    return complex(2.0 * math.pi * ca * cb * (w0**2 / 4.0) * radial)
-
-
-def radial_overlaps(l: int, p_max: int, order: int = 200) -> np.ndarray:
+def radial_overlaps(l: int, p_max: int) -> np.ndarray:
     """Overlaps of the normalized radial functions R_{l,p}, p = 0..p_max,
     with the fundamental R_{0,0}: integral of R_lp R_00 r dr
     (waist-independent).
 
-    In x = 2 r^2/w0^2 the integrand is x^(|l|/2) L_p^{|l|}(x) e^{-x} up to
-    constants; the quadrature weight carries the full non-polynomial part,
-    so the rule is exact once order exceeds p_max/2.
+    In x = 2 r^2/w0^2 the integral is sqrt(p!/(p+|l|)!) (-1)^p times
+    int x^a L_p^{|l|}(x) e^{-x} dx = Gamma(a+1) Gamma(p+a) / (p! Gamma(a)),
+    a = |l|/2 (Gradshteyn-Ryzhik 7.414.7). At l = 0 the factor 1/Gamma(0)
+    leaves only p = 0: R_{0,0} is orthogonal to every other R_{0,p}.
     """
+    ps = np.arange(p_max + 1)
     al = abs(l)
-    nodes, log_weights = _gl_nodes(order, al / 2.0)
-    with np.errstate(**_LOUD):
-        # run the recurrence on L_p e^{-x/2} and move e^{+x/2} into the
-        # weights: mathematically identical, but bounded at the far nodes
-        polys = _laguerre_all(p_max, float(al), nodes, scale=np.exp(-0.5 * nodes))
-        integrals = polys @ np.exp(log_weights + 0.5 * nodes)
-        ps = np.arange(p_max + 1)
-        # normalized radial functions: R_lp = (2/w0) sqrt(p!/(p+|l|)!)
-        # x^{|l|/2} L_p^{|l|}(x) e^{-x/2} (-1)^p, and r dr = (w0^2/4) dx
-        norms = np.exp(0.5 * (gammaln(ps + 1) - gammaln(ps + al + 1)))
-        return (-1.0) ** ps * norms * integrals
-
-
-def radial_overlap(l: int, p: int, order: int = 200) -> float:
-    return float(radial_overlaps(l, p, order)[p])
+    if al == 0:
+        return (ps == 0).astype(float)
+    a = al / 2.0
+    log_magnitude = (math.log(a) + gammaln(ps + a)
+                     - 0.5 * (gammaln(ps + 1) + gammaln(ps + al + 1)))
+    return (-1.0) ** ps * np.exp(log_magnitude)
 
 
 @dataclass(frozen=True)
@@ -231,8 +129,7 @@ class LgDecomposition:
                 )
 
 
-def decompose_plate_output(plate, input_mode: LgMode = LgMode(0, 0),
-                           l_window: tuple = (-60, 60), p_max: int = 120,
+def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
                            target_power: float = 0.87,
                            quadrature_order: int | None = None) -> LgDecomposition:
     """LG spectrum of the plate acting on the fundamental Gaussian mode.
@@ -241,20 +138,27 @@ def decompose_plate_output(plate, input_mode: LgMode = LgMode(0, 0),
     profile and the radial overlap of R_{l,p} with R_{0,0}. Entries are
     accumulated greedily by descending power; if the windows cannot reach
     the target the result is flagged incomplete.
+
+    With ``quadrature_order`` set, the radial overlaps come from the
+    oracle's Gauss-Laguerre rule of that order instead of the closed form.
     """
-    if input_mode.l != 0 or input_mode.p != 0:
-        raise ValueError("decomposition is defined for the fundamental input mode")
     l_min, l_max = l_window
     if l_min > l_max or p_max < 0:
         raise ValueError("empty decomposition window")
-    order = quadrature_order or (2 * (p_max + max(abs(l_min), abs(l_max))) + 32)
+    if quadrature_order is None:
+        radial = radial_overlaps
+    else:
+        from .oracle import quadrature_radial_overlaps
+
+        def radial(l, p_max):
+            return quadrature_radial_overlaps(l, p_max, quadrature_order)
 
     angular = oam_spectrum(plate_state(plate, 0), l_min, l_max)
     entries = []
     for l, a_l in angular:
         if abs(a_l) < 1e-14:
             continue
-        coeffs = a_l * radial_overlaps(l, p_max, order)
+        coeffs = a_l * radial(l, p_max)
         powers = np.abs(coeffs) ** 2
         for p in range(p_max + 1):
             if powers[p] > 1e-16:
@@ -359,8 +263,8 @@ def far_field(plate, input_mode: LgMode = LgMode(0, 0), n: int = 1024,
     """
     if n < 128 or n & (n - 1):
         raise ValueError("grid size must be a power of two >= 128")
-    if extent < 8.0 * input_mode.w0:
-        raise ValueError("extent must be at least 8 waist radii")
+    if not (math.isfinite(extent) and extent >= 8.0 * input_mode.w0):
+        raise ValueError("extent must be finite and at least 8 waist radii")
     # half-cell offset: no sample sits on the vortex axis and the grid is
     # symmetric under inversion, so odd-harmonic terms cancel exactly in
     # the DC bin (intensity is unaffected by the induced phase ramp)

@@ -1,6 +1,7 @@
 """Independent verification layer: every closed-form overlap, fringe, and
 Bell number is recomputed from first principles by angular quadrature on
-plate-applied sampled states.
+plate-applied sampled states, and the closed-form LG radial overlaps by
+generalized Gauss-Laguerre quadrature.
 
 Rotation angles are snapped to grid nodes before comparison so that every
 phase jump of the piecewise integrand lies on a node; the rectangle rule is
@@ -13,6 +14,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
+
+import numpy as np
+from scipy.special import gammaln
 
 from .angular import AngularGrid, inner_product, sample_midpoints, wrap_angle
 from .bell import BellSettings, SPIRAL_SETTINGS, chsh_s
@@ -129,3 +134,84 @@ def write_jsonl(reports, path):
     with open(path, "w") as fh:
         for report in reports:
             fh.write(report.to_json() + "\n")
+
+
+# overflow or NaN in the quadrature kernels is a bug, never a result, and
+# raising turns a lost weight into an error instead of a wrong count;
+# underflow of e^(-x) at the far nodes is harmless and stays silent
+_LOUD = dict(over="raise", invalid="raise")
+
+
+@lru_cache(maxsize=None)
+def _gl_nodes(order: int, alpha: float):
+    """Generalized Gauss-Laguerre nodes and log-weights for the weight
+    x^alpha e^{-x}.
+
+    The nodes are the eigenvalues of the Jacobi matrix (stable at high
+    order, where the library's Newton-iteration root finder overflows).
+    Each weight is the Christoffel function at its node,
+    w_i = Gamma(alpha+1) / sum_{k<order} p_k(x_i)^2, with p_k the
+    orthonormal polynomials of the same Jacobi matrix (p_0 = 1 here, the
+    mass going into the numerator). The three-term recurrence runs with
+    power-of-two renormalisation, exact in binary, and an integer running
+    exponent, so nothing overflows and every weight is accurate relative
+    to its own size, however small. Weights read off eigenvectors
+    (Golub-Welsch) are accurate only relative to the largest weight, an
+    error that the e^{+x/2} factor of the radial overlaps amplifies past
+    any bound at the far nodes, by an amount that depends on the LAPACK
+    eigenvector driver; no eigenvectors are used here.
+    """
+    # deferred: only this check uses scipy.linalg, so start-up skips it
+    from scipy.linalg import eigh_tridiagonal
+
+    k = np.arange(order, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    with np.errstate(**_LOUD):
+        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+        # invariant: sum_{j<=k} p_j^2 = total * 4^exponent, p = q * 2^exponent
+        q_prev = np.zeros_like(nodes)
+        q = np.ones_like(nodes)
+        total = np.ones_like(nodes)
+        exponent = np.zeros(nodes.shape, dtype=np.int64)
+        for j in range(order - 1):
+            back = off[j - 1] * q_prev if j else 0.0
+            q_prev, q = q, ((nodes - diag[j]) * q - back) / off[j]
+            total += q * q
+            shift = np.frexp(total)[1] // 2
+            q = np.ldexp(q, -shift)
+            q_prev = np.ldexp(q_prev, -shift)
+            total = np.ldexp(total, -2 * shift)
+            exponent += shift
+        log_weights = gammaln(alpha + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
+    return nodes, log_weights
+
+
+def quadrature_radial_overlaps(l: int, p_max: int, order: int) -> np.ndarray:
+    """Overlaps of the normalized LG radial functions R_{l,p}, p = 0..p_max,
+    with R_{0,0}, by Gauss-Laguerre quadrature of the given order.
+
+    In x = 2 r^2/w0^2 the integrand is x^(|l|/2) L_p^{|l|}(x) e^{-x} up to
+    constants; the quadrature weight carries the full non-polynomial part,
+    so the rule is exact once order exceeds p_max/2. The Laguerre
+    polynomials run through their three-term recurrence scaled by e^{-x/2},
+    with e^{+x/2} moved into the weights: mathematically identical, but
+    bounded at the far nodes, where the raw polynomials overflow long
+    before their weighted contribution matters.
+    """
+    al = abs(l)
+    nodes, log_weights = _gl_nodes(order, al / 2.0)
+    with np.errstate(**_LOUD):
+        polys = np.empty((p_max + 1, order))
+        polys[0] = np.exp(-0.5 * nodes)
+        if p_max >= 1:
+            polys[1] = (1.0 + al - nodes) * polys[0]
+        for p in range(1, p_max):
+            polys[p + 1] = ((2 * p + al + 1 - nodes) * polys[p]
+                            - (p + al) * polys[p - 1]) / (p + 1)
+        integrals = polys @ np.exp(log_weights + 0.5 * nodes)
+        ps = np.arange(p_max + 1)
+        # normalized radial functions: R_lp = (2/w0) sqrt(p!/(p+|l|)!)
+        # x^{|l|/2} L_p^{|l|}(x) e^{-x/2} (-1)^p, and r dr = (w0^2/4) dx
+        norms = np.exp(0.5 * (gammaln(ps + 1) - gammaln(ps + al + 1)))
+        return (-1.0) ** ps * norms * integrals

@@ -31,7 +31,6 @@ from oamsim.bell import (
     SPIRAL_SETTINGS_PI,
     chsh_s,
     chsh_s_exact,
-    exact_fringe_for,
     s4_certificate,
     search_max_s,
 )
@@ -45,6 +44,7 @@ from oamsim.twophoton import (
     TwoPhotonState,
     coincidence_amplitude,
     fringe_probability,
+    fringe_probability_exact,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -61,7 +61,8 @@ def test_criterion_1_chsh_headline(tmp_path, capsys):
     out = tmp_path / "bell.json"
     code = main(["bell", "--plate", "spiral", "--ell", "0.5", "--out", str(out)])
     printed = float(capsys.readouterr().out.strip())
-    exact = chsh_s_exact(exact_fringe_for(Spiral(0.5)), SPIRAL_SETTINGS_PI)
+    exact = chsh_s_exact(lambda t: fringe_probability_exact(Spiral(0.5), t),
+                         SPIRAL_SETTINGS_PI)
     elapsed = time.perf_counter() - t0
     ok = (
         code == 0
@@ -79,8 +80,10 @@ def test_criterion_2_step_plates(capsys):
     t0 = time.perf_counter()
     s_pi = chsh_s(lambda d: fringe_probability(Step(math.pi), d), POLARIZATION_SETTINGS).s
     s_half = chsh_s(lambda d: fringe_probability(Step(math.pi / 2), d), SPIRAL_SETTINGS).s
-    exact_pi = chsh_s_exact(exact_fringe_for(Step(math.pi)), POLARIZATION_SETTINGS_PI)
-    exact_half = chsh_s_exact(exact_fringe_for(Step(math.pi / 2)), SPIRAL_SETTINGS_PI)
+    exact_pi = chsh_s_exact(lambda t: fringe_probability_exact(Step(math.pi), t),
+                            POLARIZATION_SETTINGS_PI)
+    exact_half = chsh_s_exact(lambda t: fringe_probability_exact(Step(math.pi / 2), t),
+                              SPIRAL_SETTINGS_PI)
     elapsed = time.perf_counter() - t0
     ok = (
         abs(s_pi - 3.2) <= 1e-12

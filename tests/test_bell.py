@@ -17,12 +17,11 @@ from oamsim.bell import (
     coincidence_probability,
     e_correlation,
     evaluate_mask,
-    exact_fringe_for,
     s4_certificate,
     search_max_s,
 )
 from oamsim.plates import BinarySectors, Spiral, Step
-from oamsim.twophoton import fringe_probability
+from oamsim.twophoton import fringe_probability, fringe_probability_exact
 
 
 def _plate_fringe(plate):
@@ -56,21 +55,24 @@ def test_spiral_bell_parameter():
 
 
 def test_spiral_bell_parameter_exact():
-    s = chsh_s_exact(exact_fringe_for(Spiral(0.5)), SPIRAL_SETTINGS_PI)
+    s = chsh_s_exact(lambda t: fringe_probability_exact(Spiral(0.5), t),
+                     SPIRAL_SETTINGS_PI)
     assert s == Fraction(16, 5)
 
 
 def test_step_pi_bell_parameter():
     result = chsh_s(_plate_fringe(Step(math.pi)), POLARIZATION_SETTINGS)
     assert result.s == pytest.approx(3.2, abs=1e-12)
-    exact = chsh_s_exact(exact_fringe_for(Step(math.pi)), POLARIZATION_SETTINGS_PI)
+    exact = chsh_s_exact(lambda t: fringe_probability_exact(Step(math.pi), t),
+                         POLARIZATION_SETTINGS_PI)
     assert exact == Fraction(16, 5)
 
 
 def test_step_half_pi_bell_parameter():
     result = chsh_s(_plate_fringe(Step(math.pi / 2)), SPIRAL_SETTINGS)
     assert result.s == pytest.approx(3.2, abs=1e-12)
-    exact = chsh_s_exact(exact_fringe_for(Step(math.pi / 2)), SPIRAL_SETTINGS_PI)
+    exact = chsh_s_exact(lambda t: fringe_probability_exact(Step(math.pi / 2), t),
+                         SPIRAL_SETTINGS_PI)
     assert exact == Fraction(16, 5)
 
 

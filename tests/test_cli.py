@@ -112,6 +112,18 @@ def test_search_budget_zero_with_init(tmp_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(3.2, abs=1e-12)
 
 
+def test_search_init_with_fewer_sectors(tmp_path, capsys):
+    # the one-sector quarter mask already reaches S = 4, so the final
+    # descent polishes its 2 boundaries, not the 6 of --sectors 3
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(
+        {"type": "binary", "phi": math.pi, "sectors": [[0.0, math.pi / 2]], "alpha": 0.0}))
+    code = main(["search", "--budget", "100", "--init", str(init),
+                 "--out", str(tmp_path / "mask.json")])
+    assert code == 0
+    assert float(capsys.readouterr().out.strip()) == pytest.approx(4.0, abs=1e-12)
+
+
 def test_decompose_headline(tmp_path, capsys):
     out = tmp_path / "decomp.csv"
     code = main(["decompose", "--ell", "0.5", "--l-halfwidth", "40",
@@ -154,6 +166,8 @@ def test_exit_code_bad_input(tmp_path, capsys):
         ["bell", "--ell", "inf"],
         ["bell", "--ell", "nan"],
         ["farfield", "--ell", "nan", "--grid", "64"],
+        ["farfield", "--ell", "0.5", "--extent", "nan", "--grid", "128"],
+        ["farfield", "--ell", "0.5", "--extent", "inf", "--grid", "128"],
         ["decompose", "--ell", "inf"],
     ):
         assert main(args + out) == 2, args

@@ -1,4 +1,4 @@
-"""Tests for LG modes, radial quadrature, decompositions, and far fields."""
+"""Tests for LG modes, radial overlaps, decompositions, and far fields."""
 
 import math
 
@@ -6,16 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from oamsim import lgfield
+from oamsim import oracle
 from oamsim.lgfield import (
-    FarFieldImage,
     LgMode,
     decompose_plate_output,
     far_field,
     lg_amplitude,
-    lg_overlap,
     peak_radius,
-    radial_overlap,
     radial_overlaps,
 )
 from oamsim.plates import Spiral
@@ -43,16 +40,23 @@ def test_mode_validation():
 
 
 def test_lg_modes_orthonormal():
-    for la, pa in ((0, 0), (1, 0), (1, 2), (-2, 1), (3, 3)):
-        for lb, pb in ((0, 0), (1, 0), (1, 2), (-2, 1), (3, 3)):
-            expected = 1.0 if (la, pa) == (lb, pb) else 0.0
-            got = lg_overlap(LgMode(la, pa), LgMode(lb, pb))
+    # same-l pairs only: the angular integral removes the others. In
+    # x = 2 r^2 the radial integrand is x^|l| e^{-x} times a polynomial of
+    # degree below 40, so the 20-node rule with that weight divided out
+    # is exact; r dr = dx / 4 and the angle gives 2 pi
+    modes = ((0, 0), (0, 3), (1, 0), (1, 2), (1, 5), (-2, 1), (-2, 4), (3, 0), (3, 3))
+    for la, pa in modes:
+        nodes, log_weights = oracle._gl_nodes(20, float(abs(la)))
+        weights = np.exp(log_weights + nodes - abs(la) * np.log(nodes))
+        r = np.sqrt(nodes / 2.0)
+        for lb, pb in modes:
+            if lb != la:
+                continue
+            product = np.conj(lg_amplitude(LgMode(la, pa), r, 0.0)) * lg_amplitude(
+                LgMode(lb, pb), r, 0.0)
+            got = 2.0 * math.pi / 4.0 * np.sum(weights * product)
+            expected = 1.0 if pa == pb else 0.0
             assert abs(got - expected) < 1e-12
-
-
-def test_mixed_waist_rejected():
-    with pytest.raises(ValueError):
-        lg_overlap(LgMode(0, 0, 1.0), LgMode(0, 0, 2.0))
 
 
 def test_lg_amplitude_normalized_numerically():
@@ -65,26 +69,29 @@ def test_lg_amplitude_normalized_numerically():
 
 def test_radial_overlaps_match_analytic():
     for l in (0, 1, 3, 5, 8):
-        got = radial_overlaps(l, 50, order=200)
+        closed = radial_overlaps(l, 50)
+        quadrature = oracle.quadrature_radial_overlaps(l, 50, 200)
         for p in (0, 1, 5, 20, 50):
-            assert got[p] == pytest.approx(_analytic_radial_overlap(l, p), abs=1e-13)
+            expected = _analytic_radial_overlap(l, p)
+            assert closed[p] == pytest.approx(expected, abs=1e-13)
+            assert quadrature[p] == pytest.approx(expected, abs=1e-13)
 
 
 def test_radial_overlap_high_order_is_stable():
     # the scaled recurrence must stay finite far beyond the library root
     # finder's overflow point
-    got = radial_overlaps(5, 300, order=1200)
+    got = oracle.quadrature_radial_overlaps(5, 300, 1200)
     assert np.all(np.isfinite(got))
     assert got[300] == pytest.approx(_analytic_radial_overlap(5, 300), abs=1e-13)
 
 
 def test_gl_weights_accurate_relative_to_their_size():
-    # radial_overlaps multiplies each weight by e^{+x/2}, so a weight that
+    # the quadrature multiplies each weight by e^{+x/2}, so a weight that
     # is right only relative to the largest one (as eigenvector-derived
     # weights are) turns into garbage at the far nodes
     for order in (100, 200):
         for alpha in (0.0, 2.5):
-            nodes, log_weights = lgfield._gl_nodes(order, alpha)
+            nodes, log_weights = oracle._gl_nodes(order, alpha)
             ref_nodes, ref_weights = roots_genlaguerre(order, alpha)
             np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12)
             kept = ref_weights > 1e-300
@@ -96,11 +103,11 @@ def test_gl_weights_accurate_relative_to_their_size():
 def test_radial_overlaps_fail_loudly_on_lost_weights(monkeypatch):
     # weights floored at 1e-16 of the largest, the absolute accuracy of
     # eigenvector-derived weights, must raise rather than yield a number
-    nodes, log_weights = lgfield._gl_nodes(1200, 0.5)
+    nodes, log_weights = oracle._gl_nodes(1200, 0.5)
     floored = np.maximum(log_weights, np.max(log_weights) + math.log(1e-16))
-    monkeypatch.setattr(lgfield, "_gl_nodes", lambda order, alpha: (nodes, floored))
+    monkeypatch.setattr(oracle, "_gl_nodes", lambda order, alpha: (nodes, floored))
     with pytest.raises(FloatingPointError):
-        radial_overlaps(1, 50, order=1200)
+        oracle.quadrature_radial_overlaps(1, 50, 1200)
 
 
 def test_fundamental_decomposition_is_trivial():
@@ -158,8 +165,6 @@ def test_count_at_without_entries_raises_value_error():
 
 
 def test_decomposition_validation():
-    with pytest.raises(ValueError):
-        decompose_plate_output(Spiral(0.5), input_mode=LgMode(1, 0))
     with pytest.raises(ValueError):
         decompose_plate_output(Spiral(0.5), l_window=(3, -3))
 

@@ -1,11 +1,17 @@
 """Tests for the quadrature verification layer."""
 
+import ast
 import json
 import math
 
+import numpy as np
+
+from oamsim import oracle
 from oamsim.angular import AngularGrid
 from oamsim.bell import POLARIZATION_SETTINGS
+from oamsim.lgfield import radial_overlaps
 from oamsim.oracle import (
+    quadrature_radial_overlaps,
     standard_sweep,
     verify_bell,
     verify_fringe_sample,
@@ -49,3 +55,23 @@ def test_write_jsonl(tmp_path):
     doc = json.loads(path.read_text().strip())
     assert doc["passed"] is True
     assert doc["grid_size"] == 4096
+
+
+def test_quadrature_radial_overlaps_match_closed_form():
+    # the criterion-6 window of the l = 5/2 plate, at its quadrature order
+    for l in range(-58, 64):
+        np.testing.assert_allclose(quadrature_radial_overlaps(l, 200, 558),
+                                   radial_overlaps(l, 200), rtol=0, atol=1e-12)
+
+
+def test_oracle_does_not_import_lgfield():
+    # an oracle built on the code it checks would check nothing
+    with open(oracle.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    assert not any("lgfield" in name for name in names), names
