@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .angular import TWO_PI, wrap_angle
+from .overlap import binary_mask_fringe
 from .plates import BinarySectors, to_dict
-from .twophoton import fringe_probability
 
 _PAIR_KEYS = ("a1a2", "a1pa2", "a1a2p", "a1pa2p")
 _PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
@@ -225,7 +225,7 @@ def _mask_objective(phi, boundaries, settings):
 
 def evaluate_mask(mask: BinarySectors, settings: BellSettings = SPIRAL_SETTINGS) -> BellResult:
     """Bell parameter of a given mask's coincidence fringe."""
-    return chsh_s(lambda delta: fringe_probability(mask, delta), settings, fringe_id="binary-mask")
+    return chsh_s(binary_mask_fringe(mask), settings, fringe_id="binary-mask")
 
 
 def search_max_s(sector_count: int, phi: float,

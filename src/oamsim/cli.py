@@ -4,38 +4,86 @@ quantity as a file artifact and prints the single key number to stdout.
 Angles are accepted in radians with pi-literal arithmetic ("pi/4", "-pi/2",
 "3*pi/4"): numbers, pi, + - * / and parentheses. Exit codes: 0 success,
 1 an oracle check failed, 2 invalid input, 3 I/O failure.
+
+The sizing flags have upper bounds, and a larger value exits 2 before any
+work: --budget 1000000, --sectors 16, --grid 4096, --samples 100000,
+--p-max 1000, --l-halfwidth 250.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
+import operator
 import re
 import sys
 
 from . import bell, lgfield, oracle, overlap, plates, twophoton
 
-_ANGLE_RE = re.compile(r"^[0-9pi+\-*/(). ]+$")
+# upper bounds of the sizing flags: each keeps one run's time and memory
+# bounded (a --grid of N holds several N x N complex arrays, about 2 GB at
+# 4096; --budget and --sectors set the search's mask evaluations and their
+# size; --samples the rows of a fringe; --p-max and --l-halfwidth the rows
+# of a decomposition)
+LIMITS = {
+    "budget": 1_000_000,
+    "sectors": 16,
+    "grid": 4096,
+    "samples": 100_000,
+    "p_max": 1000,
+    "l_halfwidth": 250,
+}
+
+_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.UAdd: operator.pos,
+    ast.USub: operator.neg,
+}
 
 
 class InputError(ValueError):
     pass
 
 
+def _evaluate(node):
+    """Value of an angle expression tree: numbers, pi, unary +/-, + - * /
+    and parentheses; any other node is an InputError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.Name) and node.id == "pi":
+        return math.pi
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_evaluate(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        return _OPERATORS[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    raise InputError(f"{type(getattr(node, 'op', node)).__name__} is not allowed in an angle")
+
+
 def parse_angle(text: str) -> float:
     """Evaluate a radian expression that may use the literal 'pi'."""
-    text = text.strip()
-    # '**' passes the character class but is not in the grammar, and a
-    # tower of powers would run for unbounded time inside eval
-    if not text or not _ANGLE_RE.match(text) or "**" in text:
-        raise InputError(f"cannot parse angle {text!r}")
     # insert the multiplication sign in forms like '3pi'
-    expr = re.sub(r"(\d)\s*pi", r"\1*pi", text)
+    expr = re.sub(r"(\d)\s*pi", r"\1*pi", text.strip())
     try:
-        return float(eval(expr, {"__builtins__": {}}, {"pi": math.pi}))
-    except Exception as exc:
+        value = float(_evaluate(ast.parse(expr, mode="eval").body))
+    except (SyntaxError, ArithmeticError, RecursionError, ValueError) as exc:
         raise InputError(f"cannot parse angle {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"angle {text!r} is not finite")
+    return value
+
+
+def _check_limits(args):
+    """InputError for a sizing flag above its documented bound."""
+    for name, limit in LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > limit:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} {value} exceeds its limit of {limit}")
 
 
 def _read_plate(path) -> plates.PhasePlate:
@@ -238,6 +286,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         return args.func(args)
     except oracle.OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)

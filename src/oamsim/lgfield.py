@@ -145,19 +145,21 @@ def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
     l_min, l_max = l_window
     if l_min > l_max or p_max < 0:
         raise ValueError("empty decomposition window")
+    angular = oam_spectrum(plate_state(plate, 0), l_min, l_max)
+    kept = [(l, a_l) for l, a_l in angular if abs(a_l) >= 1e-14]
     if quadrature_order is None:
         radial = radial_overlaps
     else:
-        from .oracle import quadrature_radial_overlaps
+        from .oracle import fill_gl_rules, quadrature_radial_overlaps
+
+        # the rules of every |l|/2 the window needs, in one batch
+        fill_gl_rules(quadrature_order, [abs(l) / 2.0 for l, _ in kept])
 
         def radial(l, p_max):
             return quadrature_radial_overlaps(l, p_max, quadrature_order)
 
-    angular = oam_spectrum(plate_state(plate, 0), l_min, l_max)
     entries = []
-    for l, a_l in angular:
-        if abs(a_l) < 1e-14:
-            continue
+    for l, a_l in kept:
         coeffs = a_l * radial(l, p_max)
         powers = np.abs(coeffs) ** 2
         for p in range(p_max + 1):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -142,10 +141,21 @@ def write_jsonl(reports, path):
 _LOUD = dict(over="raise", invalid="raise")
 
 
-@lru_cache(maxsize=None)
+# (order, alpha) -> (nodes, log_weights) of every rule built so far
+_GL_RULES = {}
+
+
 def _gl_nodes(order: int, alpha: float):
     """Generalized Gauss-Laguerre nodes and log-weights for the weight
-    x^alpha e^{-x}.
+    x^alpha e^{-x}, built by ``fill_gl_rules`` on first use."""
+    if (order, alpha) not in _GL_RULES:
+        fill_gl_rules(order, (alpha,))
+    return _GL_RULES[order, alpha]
+
+
+def fill_gl_rules(order: int, alphas) -> None:
+    """Build and cache the Gauss-Laguerre rules of one order for every alpha
+    not cached yet, the weights of all of them in one 2-D recurrence.
 
     The nodes are the eigenvalues of the Jacobi matrix (stable at high
     order, where the library's Newton-iteration root finder overflows).
@@ -160,31 +170,40 @@ def _gl_nodes(order: int, alpha: float):
     error that the e^{+x/2} factor of the radial overlaps amplifies past
     any bound at the far nodes, by an amount that depends on the LAPACK
     eigenvector driver; no eigenvectors are used here.
+
+    The recurrence runs on one row per alpha, with elementwise the same
+    operations as for a single alpha, so a rule is bit-identical whichever
+    batch built it; the eigenvalues are found one alpha at a time.
     """
     # deferred: only this check uses scipy.linalg, so start-up skips it
     from scipy.linalg import eigh_tridiagonal
 
+    alphas = [a for a in dict.fromkeys(alphas) if (order, a) not in _GL_RULES]
+    if not alphas:
+        return
+    column = np.array(alphas, dtype=float)[:, None]
     k = np.arange(order, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    diag = 2.0 * k + column + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + column))
     with np.errstate(**_LOUD):
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+        nodes = np.array([eigh_tridiagonal(d, e, eigvals_only=True) for d, e in zip(diag, off)])
         # invariant: sum_{j<=k} p_j^2 = total * 4^exponent, p = q * 2^exponent
         q_prev = np.zeros_like(nodes)
         q = np.ones_like(nodes)
         total = np.ones_like(nodes)
         exponent = np.zeros(nodes.shape, dtype=np.int64)
         for j in range(order - 1):
-            back = off[j - 1] * q_prev if j else 0.0
-            q_prev, q = q, ((nodes - diag[j]) * q - back) / off[j]
+            back = off[:, j - 1, None] * q_prev if j else 0.0
+            q_prev, q = q, ((nodes - diag[:, j, None]) * q - back) / off[:, j, None]
             total += q * q
             shift = np.frexp(total)[1] // 2
             q = np.ldexp(q, -shift)
             q_prev = np.ldexp(q_prev, -shift)
             total = np.ldexp(total, -2 * shift)
             exponent += shift
-        log_weights = gammaln(alpha + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
-    return nodes, log_weights
+        log_weights = gammaln(column + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
+    for alpha, row_nodes, row_weights in zip(alphas, nodes, log_weights):
+        _GL_RULES[order, alpha] = (row_nodes, row_weights)
 
 
 def quadrature_radial_overlaps(l: int, p_max: int, order: int) -> np.ndarray:

@@ -16,10 +16,18 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .angular import TWO_PI, AngularGrid, wrap_angle
-from .plates import BinarySectors, PhasePlate, Spiral, Step, sector_intervals, to_dict
+from .plates import (
+    BinarySectors,
+    PhasePlate,
+    Spiral,
+    Step,
+    circle_wrap,
+    to_dict,
+    wrap_intervals,
+)
 
 
 def spiral_overlap_amplitude(l: int, j: int, lam: float, alpha: float) -> complex:
@@ -52,9 +60,9 @@ def step_overlap_probability(phi: float, alpha: float) -> float:
     return step_overlap_amplitude(phi, alpha) ** 2
 
 
-def _union_measure_overlap(first, second) -> float:
+def _union_measure_overlap(first, second):
     """Total measure of the intersection of two disjoint-interval unions."""
-    total = 0.0
+    total = 0
     for a0, b0 in first:
         for a1, b1 in second:
             lo, hi = max(a0, a1), min(b0, b1)
@@ -63,19 +71,68 @@ def _union_measure_overlap(first, second) -> float:
     return total
 
 
+def _displacement(sectors, alpha, period=TWO_PI):
+    """m(delta) = measure(M \\ (M + delta)) for the region M that the sectors
+    rotated by alpha cover, in the units of ``period``: 2*pi for float
+    radians, 2 for Fractions of pi.
+
+    m is |M| minus the set covariogram |M & (M + delta)|. M's intervals and
+    measure are built once; each rotated copy comes straight from the
+    sectors, with no plate rebuilt or re-validated.
+    """
+    wrap = circle_wrap(period)
+    base = wrap_intervals([(a + alpha, b + alpha) for a, b in sectors], period)
+    size = sum(b - a for a, b in base)
+
+    def displaced(delta):
+        rot = wrap(alpha + delta)
+        rotated = wrap_intervals([(a + rot, b + rot) for a, b in sectors], period)
+        return size - _union_measure_overlap(base, rotated)
+
+    return displaced
+
+
 def displaced_measure(mask, alpha: float) -> float:
     """measure(M \\ (M + alpha)) for the mask's delayed region M."""
-    base = sector_intervals(mask)
-    rotated = sector_intervals(replace(mask, alpha=wrap_angle(mask.alpha + alpha)))
-    size = sum(b - a for a, b in base)
-    return size - _union_measure_overlap(base, rotated)
+    return _displacement(mask.sectors, mask.alpha)(alpha)
+
+
+def _mask_amplitude(m, phi) -> complex:
+    return complex(1.0 - (m / math.pi) * (1.0 - math.cos(phi)))
 
 
 def binary_mask_overlap(mask, alpha: float) -> complex:
     """Overlap between a binary-mask state and its rotation by alpha:
     1 - (m/pi)(1 - cos(phi)) with m = measure(M \\ (M+alpha))."""
-    m = displaced_measure(mask, alpha)
-    return complex(1.0 - (m / math.pi) * (1.0 - math.cos(mask.phi)))
+    return _mask_amplitude(displaced_measure(mask, alpha), mask.phi)
+
+
+def binary_mask_fringe(mask):
+    """The mask's coincidence fringe delta -> |binary_mask_overlap(mask, d)|^2,
+    d = delta mod 2*pi, with the mask's geometry built once.
+
+    Values are memoised per d: the CHSH settings ask for 16 relative angles
+    but only 8 (spiral) or 10 (polarization) distinct ones.
+    """
+    displaced = _displacement(mask.sectors, mask.alpha)
+    memo = {}
+
+    def fringe(delta: float) -> float:
+        d = wrap_angle(delta)
+        p = memo.get(d)
+        if p is None:
+            p = memo[d] = abs(_mask_amplitude(displaced(d), mask.phi)) ** 2
+        return p
+
+    return fringe
+
+
+def binary_mask_fringe_exact(sectors):
+    """Exact fringe t -> (1 - 2m)^2 of a phi = pi mask whose sectors are
+    Fractions of pi, with m = measure(M \\ (M + t*pi)) / pi: the overlap
+    1 - (m/pi)(1 - cos(phi)) at phi = pi."""
+    displaced = _displacement(sectors, 0, period=2)
+    return lambda t: (1 - 2 * displaced(t % 2)) ** 2
 
 
 def closed_form_probability(plate, alpha: float) -> float:

@@ -20,6 +20,7 @@ from oamsim.bell import (
     s4_certificate,
     search_max_s,
 )
+from oamsim.overlap import binary_mask_fringe_exact
 from oamsim.plates import BinarySectors, Spiral, Step
 from oamsim.twophoton import fringe_probability, fringe_probability_exact
 
@@ -106,6 +107,19 @@ def test_evaluate_mask_half_plane():
     mask = BinarySectors(math.pi, ((0.0, math.pi),))
     result = evaluate_mask(mask, POLARIZATION_SETTINGS)
     assert result.s == pytest.approx(3.2, abs=1e-12)
+
+
+def test_quarter_sector_mask_reaches_four_exactly():
+    # S = 4 certified in exact arithmetic, sectors and angles in units of pi
+    quarter = binary_mask_fringe_exact(((0, Fraction(1, 2)),))
+    s = chsh_s_exact(quarter, SPIRAL_SETTINGS_PI)
+    assert s == Fraction(4) and isinstance(s, Fraction)
+    # the half-plane mask is the phi = pi step plate, on the exact path too
+    half = binary_mask_fringe_exact(((0, 1),))
+    for k in range(16):
+        t = Fraction(k, 8)
+        assert half(t) == fringe_probability_exact(Step(math.pi), t)
+    assert chsh_s_exact(half, POLARIZATION_SETTINGS_PI) == Fraction(16, 5)
 
 
 def test_s4_certificate_rejects_parabolic_fringe():

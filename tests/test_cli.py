@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from oamsim.cli import InputError, main, parse_angle
+from oamsim import bell, lgfield, overlap, twophoton
+from oamsim.cli import LIMITS, InputError, build_parser, main, parse_angle
 
 
 def _one_line_error(capsys):
@@ -33,6 +34,48 @@ def test_parse_angle_rejects_powers():
     for bad in ("2**3", "9**9**7"):
         with pytest.raises(InputError):
             parse_angle(bad)
+
+
+@pytest.mark.parametrize("bad", ["exp(1)", "pi.real", "e", "2**3"])
+def test_angle_outside_grammar_exits_2(tmp_path, capsys, bad):
+    # a call, an attribute, a name other than pi, and a power
+    out = tmp_path / "bell.json"
+    assert main(["bell", "--ell", "0.5", "--alpha", bad, "--out", str(out)]) == 2
+    _one_line_error(capsys)
+    assert not out.exists()
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("a sizing flag above its bound reached the computation")
+
+
+@pytest.mark.parametrize("flag,args", [
+    ("budget", ["search"]),
+    ("sectors", ["search"]),
+    ("grid", ["farfield", "--ell", "0.5"]),
+    ("samples", ["fringe", "--ell", "0.5"]),
+    ("samples", ["fringe", "--ell", "0.5", "--kind", "overlap"]),
+    ("p_max", ["decompose", "--ell", "0.5"]),
+    ("l_halfwidth", ["decompose", "--ell", "0.5"]),
+])
+def test_sizing_flag_above_bound_exits_2(tmp_path, capsys, monkeypatch, flag, args):
+    for module, name in ((bell, "search_max_s"), (lgfield, "far_field"),
+                         (lgfield, "decompose_plate_output"), (overlap, "sample_curve"),
+                         (twophoton, "coincidence_fringe")):
+        monkeypatch.setattr(module, name, _refuse_work)
+    out = tmp_path / "out"
+    option = "--" + flag.replace("_", "-")
+    assert main(args + [option, str(LIMITS[flag] + 1), "--out", str(out)]) == 2
+    assert option in _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_sizing_bounds_admit_the_defaults():
+    parser = build_parser()
+    for command in ("search", "farfield --ell 0.5", "fringe", "decompose --ell 0.5"):
+        args = parser.parse_args(command.split())
+        for name, limit in LIMITS.items():
+            assert getattr(args, name, 0) <= limit
 
 
 def test_bell_spiral_headline(tmp_path, capsys):

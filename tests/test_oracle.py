@@ -5,6 +5,8 @@ import json
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
+from scipy.special import gammaln
 
 from oamsim import oracle
 from oamsim.angular import AngularGrid
@@ -62,6 +64,40 @@ def test_quadrature_radial_overlaps_match_closed_form():
     for l in range(-58, 64):
         np.testing.assert_allclose(quadrature_radial_overlaps(l, 200, 558),
                                    radial_overlaps(l, 200), rtol=0, atol=1e-12)
+
+
+def _per_alpha_gl_rule(order, alpha):
+    """Nodes and Christoffel log-weights for one alpha by the 1-D
+    recurrence: the reference the batched recurrence must reproduce."""
+    k = np.arange(order, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    q_prev = np.zeros_like(nodes)
+    q = np.ones_like(nodes)
+    total = np.ones_like(nodes)
+    exponent = np.zeros(nodes.shape, dtype=np.int64)
+    for j in range(order - 1):
+        back = off[j - 1] * q_prev if j else 0.0
+        q_prev, q = q, ((nodes - diag[j]) * q - back) / off[j]
+        total += q * q
+        shift = np.frexp(total)[1] // 2
+        q = np.ldexp(q, -shift)
+        q_prev = np.ldexp(q_prev, -shift)
+        total = np.ldexp(total, -2 * shift)
+        exponent += shift
+    return nodes, gammaln(alpha + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
+
+
+def test_batched_gl_rules_match_per_alpha_recurrence(monkeypatch):
+    monkeypatch.setattr(oracle, "_GL_RULES", {})  # every rule built here, in one batch
+    for order, alphas in ((60, (0.0, 0.5, 2.5)), (558, (0.5, 1.0, 29.5, 31.5))):
+        oracle.fill_gl_rules(order, alphas)
+        for alpha in alphas:
+            nodes, log_weights = oracle._gl_nodes(order, alpha)
+            ref_nodes, ref_log_weights = _per_alpha_gl_rule(order, alpha)
+            assert np.array_equal(nodes, ref_nodes), (order, alpha)
+            assert np.array_equal(log_weights, ref_log_weights), (order, alpha)
 
 
 def test_oracle_does_not_import_lgfield():

@@ -4,10 +4,21 @@ import cmath
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamsim.angular import TWO_PI, inner_product, wrap_angle
+from oamsim.bell import (
+    POLARIZATION_SETTINGS,
+    SPIRAL_SETTINGS,
+    DegenerateFringeError,
+    chsh_s,
+    evaluate_mask,
+)
 from oamsim.overlap import (
+    binary_mask_fringe,
     binary_mask_overlap,
     closed_form_probability,
     displaced_measure,
@@ -19,6 +30,7 @@ from oamsim.overlap import (
 )
 from oamsim.oracle import OracleMismatch
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state
+from oamsim.twophoton import fringe_probability
 
 
 def _direct_overlap(plate, alpha):
@@ -97,6 +109,75 @@ def test_displaced_measure_simple_sector():
     assert displaced_measure(mask, 0.5) == pytest.approx(0.5, abs=1e-12)
     assert displaced_measure(mask, 2.0) == pytest.approx(1.0, abs=1e-12)
     assert displaced_measure(mask, TWO_PI - 1e-13) == pytest.approx(0.0, abs=1e-9)
+
+
+@st.composite
+def _wrapping_masks(draw):
+    """Masks of 1-4 sectors, at least 0.006 rad wide and apart, rotated by a
+    non-zero alpha that carries the last sector past 2*pi."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    weights = draw(st.lists(st.floats(min_value=1.0, max_value=100.0),
+                            min_size=2 * k + 1, max_size=2 * k + 1))
+    cuts = np.cumsum(weights)[:-1] * (TWO_PI / sum(weights))
+    sectors = tuple((float(a), float(b)) for a, b in zip(cuts[0::2], cuts[1::2]))
+    end = sectors[-1][1]
+    alpha = (TWO_PI - end) + draw(st.floats(min_value=0.01, max_value=0.99)) * end
+    phi = draw(st.floats(min_value=0.1, max_value=math.pi))
+    return BinarySectors(phi, sectors, alpha)
+
+
+def _grid_displaced_measure(mask, delta, n=1 << 16):
+    """measure(M \\ (M + delta)) by counting midpoints of an n-point grid,
+    testing membership in each sector directly."""
+    theta = (np.arange(n) + 0.5) * (TWO_PI / n)
+
+    def in_mask(t):
+        t = np.mod(t - mask.alpha, TWO_PI)
+        return np.any([(a <= t) & (t < b) for a, b in mask.sectors], axis=0)
+
+    return np.count_nonzero(in_mask(theta) & ~in_mask(theta - delta)) * (TWO_PI / n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask=_wrapping_masks(), delta=st.floats(min_value=0.0, max_value=TWO_PI - 1e-9))
+def test_displaced_measure_matches_grid_count(mask, delta):
+    n = 1 << 16
+    # each edge of M and of M + delta can misplace at most one grid cell
+    tolerance = (TWO_PI / n) * 4 * len(mask.sectors)
+    expected = _grid_displaced_measure(mask, delta, n)
+    assert displaced_measure(mask, delta) == pytest.approx(expected, abs=tolerance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mask=_wrapping_masks(), delta=st.floats(min_value=1e-9, max_value=TWO_PI - 1e-9))
+def test_displaced_measure_is_even(mask, delta):
+    assert displaced_measure(mask, delta) == pytest.approx(
+        displaced_measure(mask, TWO_PI - delta), abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(mask=_wrapping_masks())
+def test_mask_fringe_closure_equals_fringe_probability(mask):
+    # the per-mask closure memoises by wrapped angle; it must give the very
+    # floats of the uncached fringe law, at every setting pair
+    for bell_settings in (SPIRAL_SETTINGS, POLARIZATION_SETTINGS):
+        try:
+            direct = chsh_s(lambda d: fringe_probability(mask, d), bell_settings)
+        except DegenerateFringeError:
+            with pytest.raises(DegenerateFringeError):
+                evaluate_mask(mask, bell_settings)
+            continue
+        closure = evaluate_mask(mask, bell_settings)
+        assert closure.s == direct.s
+        assert closure.p == direct.p
+
+
+def test_mask_fringe_wraps_its_angle():
+    mask = BinarySectors(math.pi, ((0.5, 2.0), (3.0, 4.0)), 1.0)
+    fringe = binary_mask_fringe(mask)
+    for delta in (-1.0, 0.0, 2.5, TWO_PI + 2.5):
+        assert fringe(delta) == fringe_probability(mask, delta)
+        assert fringe(delta) == fringe(delta)  # a memoised value
 
 
 def test_binary_mask_overlap_matches_direct():
