@@ -27,7 +27,7 @@ from .bell import (
     e_correlation,
     search_max_s,
 )
-from .lgfield import FarFieldImage, LgDecomposition, LgMode, decompose_plate_output, far_field
+from .lgfield import FarFieldImage, LgDecomposition, decompose_plate_output, far_field
 from .overlap import (
     SampledCurve,
     binary_mask_overlap,

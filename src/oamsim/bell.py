@@ -25,6 +25,8 @@ _PAIR_KEYS = ("a1a2", "a1pa2", "a1a2p", "a1pa2p")
 _PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
 # a float four-probability sum at or below this counts as vanishing
 _FLOAT_FLOOR = 1e-15
+# random starts of the mask search's exploration half
+_N_STARTS = 64
 
 
 class DegenerateFringeError(ZeroDivisionError):
@@ -230,7 +232,7 @@ def evaluate_mask(mask: BinarySectors, settings: BellSettings = SPIRAL_SETTINGS)
 
 def search_max_s(sector_count: int, phi: float,
                  settings: BellSettings = SPIRAL_SETTINGS,
-                 budget: int = 20000, n_starts: int = 64, seed: int = 0,
+                 budget: int = 20000, seed: int = 0,
                  init_mask: BinarySectors | None = None) -> MaskSearchResult:
     """Maximize the Bell parameter over binary sector masks by multi-start
     coordinate descent on the 2*sector_count boundary angles.
@@ -295,8 +297,8 @@ def search_max_s(sector_count: int, phi: float,
     # half the budget explores from random starts, the other half polishes
     # the best point found with a fresh full-size step schedule
     explore = budget // 2
-    per_start = max(explore // n_starts, 1)
-    for start in range(n_starts):
+    per_start = max(explore // _N_STARTS, 1)
+    for start in range(_N_STARTS):
         if evals >= explore:
             break
         rng = np.random.default_rng(seed * 7919 + start)

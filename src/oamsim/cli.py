@@ -136,8 +136,7 @@ def cmd_fringe(args) -> int:
         rows = curve.samples
         curve.write_csv(args.out)
     else:
-        fringe = twophoton.coincidence_fringe(
-            twophoton.TwoPhotonState(q=args.pump_q), plate, args.samples)
+        fringe = twophoton.coincidence_fringe(plate, args.samples)
         if args.verify:
             for d, _ in fringe.samples:
                 oracle.verify_fringe_sample(plate, d).require()
@@ -232,14 +231,12 @@ def _add_plate_flags(sub):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oamsim")
-    parser.add_argument("--seed", type=int, default=0)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("fringe", help="overlap or coincidence fringe CSV")
     _add_plate_flags(p)
     p.add_argument("--kind", choices=["coincidence", "overlap"], default="coincidence")
     p.add_argument("--samples", type=int, default=360)
-    p.add_argument("--pump-q", type=int, default=0)
     p.add_argument("--verify", action="store_true", help="cross-check each sample by quadrature")
     p.add_argument("--out", default="fringe.csv")
     p.set_defaults(func=cmd_fringe)

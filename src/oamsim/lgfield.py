@@ -1,6 +1,7 @@
-"""Laguerre-Gaussian transverse fields: waist-plane mode amplitudes, closed-
-form radial overlaps, decomposition of plate outputs into LG components, and
-far-field diffraction images by FFT.
+"""Laguerre-Gaussian transverse fields: closed-form radial overlaps,
+decomposition of plate outputs into LG components, and far-field
+diffraction images by FFT. The plate always acts on the fundamental
+Gaussian LG_00 of unit waist, as in the paper's setup.
 
 The decomposition factorizes: the azimuthal spectrum of the plate profile is
 exact (piecewise integration), and the radial overlap of each LG radial
@@ -17,48 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
-from scipy.special import eval_genlaguerre, gammaln
+from scipy.special import gammaln
 
 from .angular import oam_spectrum
 from .plates import plate_state, profile
-
-
-@dataclass(frozen=True)
-class LgMode:
-    """Laguerre-Gaussian mode indices and waist radius."""
-
-    l: int
-    p: int
-    w0: float = 1.0
-
-    def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("p must be >= 0")
-        if self.w0 <= 0.0:
-            raise ValueError("w0 must be positive")
-
-
-def _norm_constant(l: int, p: int, w0: float) -> float:
-    # unit L2 norm over the transverse plane
-    return math.sqrt(2.0 / math.pi) / w0 * math.exp(
-        0.5 * (gammaln(p + 1) - gammaln(p + abs(l) + 1))
-    )
-
-
-def lg_amplitude(mode: LgMode, r, theta) -> np.ndarray:
-    """Waist-plane complex amplitude of the mode at (r, theta)."""
-    r = np.asarray(r, dtype=float)
-    l, p, w0 = mode.l, mode.p, mode.w0
-    x = 2.0 * r**2 / w0**2
-    amp = (
-        _norm_constant(l, p, w0)
-        * (-1.0) ** p
-        * (r * math.sqrt(2.0) / w0) ** abs(l)
-        * eval_genlaguerre(p, abs(l), x)
-        * np.exp(-(r**2) / w0**2)
-    )
-    return amp * np.exp(1j * l * np.asarray(theta, dtype=float))
 
 
 def radial_overlaps(l: int, p_max: int) -> np.ndarray:
@@ -184,14 +147,18 @@ class FarFieldImage:
     def n(self) -> int:
         return self.intensity.shape[0]
 
-    def azimuthal_profile(self, n_angles: int = 720, radius: float | None = None):
-        """Intensity sampled on the circle at the radius (in pixels from the
-        center) where the azimuthally averaged intensity peaks."""
+    def azimuthal_profile(self):
+        """Intensity sampled at 720 angles on the circle at the radius (in
+        pixels from the center) where the azimuthally averaged intensity
+        peaks."""
+        # deferred: scipy.ndimage adds about 70 ms to every import of the
+        # package, and only the image metrics need it
+        from scipy.ndimage import map_coordinates
+
         n = self.n
         center = n / 2.0
-        if radius is None:
-            radius = peak_radius(self.intensity)
-        phis = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+        radius = peak_radius(self.intensity)
+        phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         rows = center + radius * np.sin(phis)
         cols = center + radius * np.cos(phis)
         return map_coordinates(self.intensity, [rows, cols], order=3, mode="nearest")
@@ -255,9 +222,9 @@ def peak_radius(intensity: np.ndarray) -> float:
     return float(below[0]) if len(below) else float(maxbin // 2)
 
 
-def far_field(plate, input_mode: LgMode = LgMode(0, 0), n: int = 1024,
-              extent: float = 16.0) -> FarFieldImage:
-    """Fraunhofer far field of the waist-plane field behind the plate.
+def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
+    """Fraunhofer far field of the plate acting on the fundamental Gaussian,
+    w0 = 1.
 
     The waist field times the plate phase is sampled on a Cartesian grid of
     physical half-width ``extent`` (in w0 units) and Fourier transformed
@@ -265,7 +232,7 @@ def far_field(plate, input_mode: LgMode = LgMode(0, 0), n: int = 1024,
     """
     if n < 128 or n & (n - 1):
         raise ValueError("grid size must be a power of two >= 128")
-    if not (math.isfinite(extent) and extent >= 8.0 * input_mode.w0):
+    if not (math.isfinite(extent) and extent >= 8.0):
         raise ValueError("extent must be finite and at least 8 waist radii")
     # half-cell offset: no sample sits on the vortex axis and the grid is
     # symmetric under inversion, so odd-harmonic terms cancel exactly in
@@ -274,7 +241,8 @@ def far_field(plate, input_mode: LgMode = LgMode(0, 0), n: int = 1024,
     xx, yy = np.meshgrid(coords, coords)
     rr = np.hypot(xx, yy)
     th = np.mod(np.arctan2(yy, xx), 2.0 * math.pi)
-    field = lg_amplitude(input_mode, rr, th) * profile(plate, th)
+    # the unit-norm LG_00 waist amplitude
+    field = math.sqrt(2.0 / math.pi) * np.exp(-(rr**2)) * profile(plate, th)
     cell = (2.0 * extent / n) ** 2
     power = float(np.sum(np.abs(field) ** 2)) * cell
     field = field / math.sqrt(power)

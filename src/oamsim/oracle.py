@@ -19,9 +19,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .angular import AngularGrid, inner_product, sample_midpoints, wrap_angle
-from .bell import BellSettings, SPIRAL_SETTINGS, chsh_s
+from .bell import BellSettings, POLARIZATION_SETTINGS, SPIRAL_SETTINGS, chsh_s
 from .overlap import closed_form_probability
-from .plates import plate_state
+from .plates import BinarySectors, Spiral, Step, plate_state
 from .twophoton import fringe_probability
 
 
@@ -108,8 +108,6 @@ def verify_bell(plate, settings: BellSettings = SPIRAL_SETTINGS,
 
 def standard_sweep(grid: AngularGrid | None = None):
     """Representative verification sweep across the three plate families."""
-    from .plates import BinarySectors, Spiral, Step
-
     grid = grid or AngularGrid()
     reports = []
     for lam in (0.0, 0.25, 0.3, 0.5):
@@ -123,8 +121,6 @@ def standard_sweep(grid: AngularGrid | None = None):
         reports.append(verify_overlap(mask, alpha, grid=grid))
     reports.append(verify_bell(Spiral(0.5), grid=grid))
     reports.append(verify_bell(Step(math.pi / 2), grid=grid))
-    from .bell import POLARIZATION_SETTINGS
-
     reports.append(verify_bell(Step(math.pi), POLARIZATION_SETTINGS, grid=grid))
     return reports
 

@@ -166,28 +166,28 @@ class SampledCurve:
         return {"plate": to_dict(self.plate), "n_samples": len(self.samples)}
 
 
-def sample_curve(plate, n_samples: int, verify: bool = False,
-                 grid: AngularGrid | None = None, verify_tol: float = 1e-8) -> SampledCurve:
+def sample_curve(plate, n_samples: int, verify: bool = False) -> SampledCurve:
     """Uniformly sample the plate's rotation-overlap law on [0, 2*pi).
 
-    With ``verify`` on, each sample angle is snapped to the quadrature grid
-    and cross-checked against the sampled-state inner product. The check is
-    exact only when every phase jump lies on a grid node: for binary masks
-    whose sector boundaries fall between nodes, the quadrature carries an
-    O(1/n_points) boundary error and ``verify_tol`` must be widened.
+    With ``verify`` on, each sample angle is snapped to the default
+    quadrature grid and cross-checked against the sampled-state inner
+    product at the oracle's default tolerance. The check is exact only when
+    every phase jump lies on a grid node: for binary masks whose sector
+    boundaries fall between nodes, the quadrature carries an O(1/n_points)
+    boundary error and the check raises OracleMismatch.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
     if verify:
         from .oracle import verify_overlap  # the oracle imports this module
 
-    grid = grid or AngularGrid()
+    grid = AngularGrid()
     samples = []
     for k in range(n_samples):
         a = TWO_PI * k / n_samples
         if verify:
             a = grid.nearest_node(a)
-            p = verify_overlap(plate, a, verify_tol, grid).require().closed_form
+            p = verify_overlap(plate, a, grid=grid).require().closed_form
         else:
             p = closed_form_probability(plate, a)
         samples.append((a, p))

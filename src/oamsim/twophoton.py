@@ -1,12 +1,13 @@
-"""Two-photon state of the down-conversion source in the fractional-OAM
-basis, analyzer-induced collapse, and the coincidence fringe.
+"""Two-photon state of the down-conversion source in the lambda = 1/2
+fractional-OAM basis, analyzer-induced collapse, and the coincidence fringe.
 
-The pump is restricted to a pure OAM mode (index q); the radial factor and
-the fiber projections are absorbed into one overall constant, normalized to
-unity, since the correlation function built downstream cancels it. The
-coincidence probability depends only on the relative orientation of the two
-analyzers: ``fringe_probability`` gives it in closed form and
-``coincidence_fringe`` samples it uniformly.
+The pump is restricted to a pure OAM mode (index q), which fixes the
+Schmidt pairing but drops out of every coincidence rate. The radial factor
+and the fiber projections are absorbed into one overall constant,
+normalized to unity, since the correlation function built downstream
+cancels it. The coincidence probability depends only on the relative
+orientation of the two analyzers: ``fringe_probability`` gives it in closed
+form and ``coincidence_fringe`` samples it uniformly.
 """
 
 from __future__ import annotations
@@ -34,16 +35,9 @@ class UnsupportedAnalyzerError(ValueError):
 
 @dataclass(frozen=True)
 class TwoPhotonState:
-    """Source state: pump OAM q, analyzer-basis fractional twist, and the
-    single radial constant carrying the fiber-coupling efficiency."""
+    """Source state in the lambda = 1/2 basis: the pump OAM q."""
 
     q: int = 0
-    basis_lambda: float = 0.5
-    c: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if not 0.0 <= self.basis_lambda < 1.0:
-            raise ValueError("basis_lambda must lie in [0,1)")
 
 
 @dataclass(frozen=True)
@@ -73,7 +67,7 @@ def collapse_idler(state: TwoPhotonState, signal_plate) -> NonIntegerOamState:
     if not isinstance(signal_plate, Spiral):
         raise UnsupportedAnalyzerError("collapse requires a spiral analyzer")
     j, lam = _spiral_parts(signal_plate)
-    if abs(lam - 0.5) > _HALF_INT_TOL or abs(state.basis_lambda - 0.5) > _HALF_INT_TOL:
+    if abs(lam - 0.5) > _HALF_INT_TOL:
         raise UnsupportedAnalyzerError(
             "collapse is derived for half-integer plates in the lambda=1/2 basis"
         )
@@ -95,12 +89,12 @@ def coincidence_amplitude(state: TwoPhotonState, signal: AnalyzerSetting,
     delta = wrap_angle(pi_.alpha - ps.alpha)
     if isinstance(ps, Spiral):
         collapsed = collapse_idler(state, ps)
-        return state.c * spiral_overlap_amplitude(
+        return spiral_overlap_amplitude(
             collapsed.l - math.floor(ps.ell), math.floor(ps.ell), 0.5, delta
         )
     if isinstance(ps, Step):
-        return state.c * step_overlap_amplitude(ps.phi, delta)
-    return state.c * binary_mask_overlap(ps, delta)
+        return complex(step_overlap_amplitude(ps.phi, delta))
+    return binary_mask_overlap(ps, delta)
 
 
 def fringe_probability(plate, delta: float) -> float:
@@ -137,13 +131,11 @@ def fringe_probability_exact(plate, t: Fraction) -> Fraction:
     raise UnsupportedAnalyzerError("no exact-rational fringe for this plate family")
 
 
-def coincidence_fringe(state: TwoPhotonState, plate, n_samples: int) -> SampledCurve:
-    """Sample |B(delta)|^2 uniformly over delta in [0, 2*pi)."""
+def coincidence_fringe(plate, n_samples: int) -> SampledCurve:
+    """Sample |B(delta)|^2 uniformly over delta in [0, 2*pi); a spiral that
+    is not half-integer raises UnsupportedAnalyzerError."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if isinstance(plate, Spiral):
-        # validates the half-integer requirement up front
-        collapse_idler(state, plate)
     samples = tuple(
         (TWO_PI * k / n_samples, fringe_probability(plate, TWO_PI * k / n_samples))
         for k in range(n_samples)

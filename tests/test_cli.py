@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oamsim
 from oamsim import bell, lgfield, overlap, twophoton
 from oamsim.cli import LIMITS, InputError, build_parser, main, parse_angle
 
@@ -144,6 +149,28 @@ def test_search_deterministic_output(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_search_reads_its_seed(tmp_path, capsys):
+    # the output is the library's search at that seed, not at the default 0
+    out, seeded, default = tmp_path / "cli.json", tmp_path / "seed5.json", tmp_path / "seed0.json"
+    assert main(["search", "--seed", "5", "--budget", "500", "--out", str(out)]) == 0
+    bell.search_max_s(3, math.pi, budget=500, seed=5).write_json(seeded)
+    bell.search_max_s(3, math.pi, budget=500, seed=0).write_json(default)
+    assert out.read_bytes() == seeded.read_bytes()
+    assert out.read_bytes() != default.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["--seed", "5", "search", "--budget", "500"],  # only the search subcommand has a seed
+    ["fringe", "--ell", "0.5", "--pump-q", "1"],  # the pump OAM drops out of every rate
+])
+def test_removed_flags_are_usage_errors(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_search_budget_zero_with_init(tmp_path, capsys):
     init = tmp_path / "init.json"
     init.write_text(json.dumps(
@@ -256,3 +283,16 @@ def test_fringe_verify_mismatch_exits_1(tmp_path, capsys, kind):
                  "--samples", "8", "--out", str(tmp_path / "f.csv")])
     assert code == 1
     assert _one_line_error(capsys).startswith("oracle mismatch:")
+
+
+def test_cli_import_leaves_scipy_ndimage_unloaded():
+    # only the far-field image metrics need scipy.ndimage; they import it
+    # on first use, so no other command pays for it
+    src = str(Path(oamsim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, oamsim.cli; print([m for m in sys.modules"
+            " if m == 'scipy.ndimage' or m.startswith('scipy.ndimage.')])")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

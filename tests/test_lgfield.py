@@ -1,4 +1,4 @@
-"""Tests for LG modes, radial overlaps, decompositions, and far fields."""
+"""Tests for LG radial overlaps, decompositions, and far fields."""
 
 import math
 
@@ -7,14 +7,7 @@ import pytest
 from scipy.special import roots_genlaguerre
 
 from oamsim import oracle
-from oamsim.lgfield import (
-    LgMode,
-    decompose_plate_output,
-    far_field,
-    lg_amplitude,
-    peak_radius,
-    radial_overlaps,
-)
+from oamsim.lgfield import decompose_plate_output, far_field, peak_radius, radial_overlaps
 from oamsim.plates import Spiral
 
 
@@ -30,41 +23,6 @@ def _analytic_radial_overlap(l, p):
     else:
         integral = exp(lgamma(a + 1.0) + lgamma(p + a) - lgamma(p + 1.0) - lgamma(a))
     return (-1.0) ** p * exp(0.5 * (lgamma(p + 1.0) - lgamma(p + abs(l) + 1.0))) * integral
-
-
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        LgMode(0, -1)
-    with pytest.raises(ValueError):
-        LgMode(0, 0, w0=0.0)
-
-
-def test_lg_modes_orthonormal():
-    # same-l pairs only: the angular integral removes the others. In
-    # x = 2 r^2 the radial integrand is x^|l| e^{-x} times a polynomial of
-    # degree below 40, so the 20-node rule with that weight divided out
-    # is exact; r dr = dx / 4 and the angle gives 2 pi
-    modes = ((0, 0), (0, 3), (1, 0), (1, 2), (1, 5), (-2, 1), (-2, 4), (3, 0), (3, 3))
-    for la, pa in modes:
-        nodes, log_weights = oracle._gl_nodes(20, float(abs(la)))
-        weights = np.exp(log_weights + nodes - abs(la) * np.log(nodes))
-        r = np.sqrt(nodes / 2.0)
-        for lb, pb in modes:
-            if lb != la:
-                continue
-            product = np.conj(lg_amplitude(LgMode(la, pa), r, 0.0)) * lg_amplitude(
-                LgMode(lb, pb), r, 0.0)
-            got = 2.0 * math.pi / 4.0 * np.sum(weights * product)
-            expected = 1.0 if pa == pb else 0.0
-            assert abs(got - expected) < 1e-12
-
-
-def test_lg_amplitude_normalized_numerically():
-    mode = LgMode(2, 3)
-    r = np.linspace(1e-6, 12.0, 20000)
-    radial = np.abs(lg_amplitude(mode, r, 0.0)) ** 2 * r
-    total = 2.0 * math.pi * np.trapezoid(radial, r)
-    assert total == pytest.approx(1.0, abs=1e-6)
 
 
 def test_radial_overlaps_match_analytic():
@@ -180,6 +138,18 @@ def test_far_field_gaussian_is_symmetric():
     image = far_field(Spiral(0.0), n=256)
     assert image.azimuthal_variance() < 1e-6
     assert image.on_axis_ratio() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_far_field_gaussian_matches_analytic_image():
+    # the unit-waist Gaussian sqrt(2/pi) e^{-r^2} transforms to an image
+    # proportional to e^{-2 pi^2 f^2}, at the DFT frequencies
+    # (k - n/2) / (2 extent) of a grid with spacing 2 extent / n
+    n, extent = 256, 16.0
+    image = far_field(Spiral(0.0), n=n)
+    f = (np.arange(n) - n / 2) / (2.0 * extent)
+    expected = np.exp(-2.0 * math.pi**2 * (f[:, None] ** 2 + f[None, :] ** 2))
+    expected /= expected.sum()
+    assert float(np.max(np.abs(image.intensity - expected))) <= 1e-12 * float(expected.max())
 
 
 def test_far_field_vortex_has_on_axis_null():

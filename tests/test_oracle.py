@@ -60,7 +60,9 @@ def test_write_jsonl(tmp_path):
 
 
 def test_quadrature_radial_overlaps_match_closed_form():
-    # the criterion-6 window of the l = 5/2 plate, at its quadrature order
+    # the criterion-6 window of the l = 5/2 plate, at its quadrature order;
+    # its rules are built in one batch, as the decomposition builds them
+    oracle.fill_gl_rules(558, [abs(l) / 2.0 for l in range(-58, 64)])
     for l in range(-58, 64):
         np.testing.assert_allclose(quadrature_radial_overlaps(l, 200, 558),
                                    radial_overlaps(l, 200), rtol=0, atol=1e-12)

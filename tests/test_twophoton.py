@@ -46,8 +46,6 @@ def test_collapse_requires_half_integer_spiral():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        TwoPhotonState(basis_lambda=1.0)
-    with pytest.raises(ValueError):
         AnalyzerSetting(Spiral(0.5), "neither")
 
 
@@ -124,7 +122,7 @@ def test_exact_matches_float_fringe():
 
 
 def test_coincidence_fringe_sampling(tmp_path):
-    fringe = coincidence_fringe(TwoPhotonState(), Spiral(0.5), 36)
+    fringe = coincidence_fringe(Spiral(0.5), 36)
     assert len(fringe.samples) == 36
     assert fringe.samples[0] == (0.0, 1.0)
     path = tmp_path / "fringe.csv"
@@ -139,6 +137,6 @@ def test_coincidence_fringe_sampling(tmp_path):
 
 def test_coincidence_fringe_validation():
     with pytest.raises(ValueError):
-        coincidence_fringe(TwoPhotonState(), Spiral(0.5), 1)
+        coincidence_fringe(Spiral(0.5), 1)
     with pytest.raises(UnsupportedAnalyzerError):
-        coincidence_fringe(TwoPhotonState(), Spiral(0.25), 16)
+        coincidence_fringe(Spiral(0.25), 16)
