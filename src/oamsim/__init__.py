@@ -23,8 +23,6 @@ from .bell import (
     SPIRAL_SETTINGS,
     chsh_s,
     chsh_s_exact,
-    coincidence_probability,
-    e_correlation,
     search_max_s,
 )
 from .lgfield import FarFieldImage, LgDecomposition, decompose_plate_output, far_field
@@ -38,13 +36,10 @@ from .overlap import (
 )
 from .plates import BinarySectors, PhasePlate, Spiral, Step, adjoint, apply, plate_state
 from .twophoton import (
-    AnalyzerSetting,
-    TwoPhotonState,
     UnsupportedAnalyzerError,
     coincidence_amplitude,
     coincidence_fringe,
     collapse_idler,
-    schmidt_pairing,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

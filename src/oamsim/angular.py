@@ -192,8 +192,7 @@ def inner_product(a, b) -> complex:
     """<a|b> = integral over [0, 2*pi) of conj(a) * b.
 
     ClosedForm pairs integrate exactly piece by piece; Sampled pairs use the
-    rectangle rule on their common grid. A mixed pair is handled by sampling
-    the closed form on the other state's grid.
+    rectangle rule on their common grid. A mixed pair is a TypeError.
     """
     if isinstance(a, ClosedForm) and isinstance(b, ClosedForm):
         dnu = b.nu - a.nu
@@ -206,10 +205,8 @@ def inner_product(a, b) -> complex:
             else:
                 total += c * (cmath.exp(1j * dnu * t1) - cmath.exp(1j * dnu * t0)) / (1j * dnu)
         return total / TWO_PI
-    if isinstance(a, ClosedForm):
-        a = a.to_sampled(b.grid)
-    if isinstance(b, ClosedForm):
-        b = b.to_sampled(a.grid)
+    if not (isinstance(a, Sampled) and isinstance(b, Sampled)):
+        raise TypeError(f"no inner product of {type(a).__name__} and {type(b).__name__}")
     if a.grid != b.grid:
         raise GridMismatchError("states live on different grids")
     return complex(np.vdot(a.values, b.values)) * a.grid.spacing

@@ -83,11 +83,6 @@ POLARIZATION_SETTINGS_PI = (
     Fraction(-1, 8), Fraction(1, 8), Fraction(-1, 4), Fraction(0), Fraction(1, 2))
 
 
-def coincidence_probability(fringe, x: float, y: float) -> float:
-    """P(x, y) = fringe((y - x) mod 2*pi), radial constant normalized to 1."""
-    return fringe(wrap_angle(y - x))
-
-
 def _four_probabilities(fringe, wrap, x, y, perp):
     """P(x,y), P(x',y'), P(x,y'), P(x',y) with the primes at +perp; ``wrap``
     reduces the relative angle into the fringe's domain."""
@@ -119,13 +114,6 @@ def _chsh(fringe, wrap, pairs, perp, floor):
         e_values.append(_correlation(four, floor, x, y))
     e0, e1, e2, e3 = e_values
     return e0 - e1 + e2 + e3, e_values, probabilities
-
-
-def e_correlation(fringe, x: float, y: float, perp_offset: float) -> float:
-    """[P(x,y) + P(x',y') - P(x,y') - P(x',y)] / [sum of the four],
-    primes denoting the orthogonal settings x + perp, y + perp."""
-    four = _four_probabilities(fringe, wrap_angle, x, y, perp_offset)
-    return _correlation(four, _FLOAT_FLOOR, x, y)
 
 
 @dataclass(frozen=True)

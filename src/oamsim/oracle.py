@@ -63,35 +63,29 @@ def quadrature_overlap_probability(plate, alpha: float, grid: AngularGrid) -> fl
     return abs(inner_product(s0, s1)) ** 2
 
 
+def _verify(law, quantity, plate, angle, tolerance, grid) -> OracleReport:
+    """``law(plate, a)`` against the quadrature rotation overlap at the grid
+    node ``a`` nearest ``angle``, named by ``quantity.format(family, a)``."""
+    grid = grid or AngularGrid()
+    a = grid.nearest_node(angle)
+    closed = law(plate, a)
+    oracle = quadrature_overlap_probability(plate, a, grid)
+    return _report(quantity.format(type(plate).__name__.lower(), a), closed, oracle, grid,
+                   tolerance)
+
+
 def verify_overlap(plate, alpha: float, tolerance: float = 1e-8,
                    grid: AngularGrid | None = None) -> OracleReport:
     """Closed-form rotation-overlap probability against the quadrature value
     at the nearest grid-aligned rotation angle."""
-    grid = grid or AngularGrid()
-    a = grid.nearest_node(alpha)
-    closed = closed_form_probability(plate, a)
-    oracle = quadrature_overlap_probability(plate, a, grid)
-    name = f"overlap[{type(plate).__name__.lower()}, alpha={a:.6f}]"
-    return _report(name, closed, oracle, grid, tolerance)
-
-
-def quadrature_fringe(plate, grid: AngularGrid):
-    """Coincidence fringe derived entirely from sampled-state overlaps."""
-
-    def prob(delta: float) -> float:
-        return quadrature_overlap_probability(plate, grid.nearest_node(delta), grid)
-
-    return prob
+    return _verify(closed_form_probability, "overlap[{}, alpha={:.6f}]", plate, alpha,
+                   tolerance, grid)
 
 
 def verify_fringe_sample(plate, delta: float, tolerance: float = 1e-8,
                          grid: AngularGrid | None = None) -> OracleReport:
-    grid = grid or AngularGrid()
-    d = grid.nearest_node(delta)
-    closed = fringe_probability(plate, d)
-    oracle = quadrature_overlap_probability(plate, d, grid)
-    name = f"fringe[{type(plate).__name__.lower()}, delta={d:.6f}]"
-    return _report(name, closed, oracle, grid, tolerance)
+    return _verify(fringe_probability, "fringe[{}, delta={:.6f}]", plate, delta,
+                   tolerance, grid)
 
 
 def verify_bell(plate, settings: BellSettings = SPIRAL_SETTINGS,
@@ -101,7 +95,9 @@ def verify_bell(plate, settings: BellSettings = SPIRAL_SETTINGS,
     quadrature-derived fringe."""
     grid = grid or AngularGrid()
     closed = chsh_s(lambda d: fringe_probability(plate, d), settings).s
-    oracle = chsh_s(quadrature_fringe(plate, grid), settings).s
+    oracle = chsh_s(
+        lambda d: quadrature_overlap_probability(plate, grid.nearest_node(d), grid),
+        settings).s
     name = f"bell[{type(plate).__name__.lower()}]"
     return _report(name, closed, oracle, grid, tolerance)
 

@@ -25,21 +25,20 @@ from .plates import (
     Spiral,
     Step,
     circle_wrap,
-    to_dict,
     wrap_intervals,
 )
 
 
-def spiral_overlap_amplitude(l: int, j: int, lam: float, alpha: float) -> complex:
-    """<a^(l+j)_lam(0) | a^(l+j)_lam(alpha)>:
-    (1/2pi)[2pi - alpha + alpha e^{i 2pi lam}] e^{-i (l+j+lam) alpha}."""
+def spiral_overlap_amplitude(n: int, lam: float, alpha: float) -> complex:
+    """<a^n_lam(0) | a^n_lam(alpha)>:
+    (1/2pi)[2pi - alpha + alpha e^{i 2pi lam}] e^{-i (n+lam) alpha}."""
     a = wrap_angle(alpha)
     bracket = (TWO_PI - a + a * cmath.exp(1j * TWO_PI * lam)) / TWO_PI
-    return bracket * cmath.exp(-1j * (l + j + lam) * a)
+    return bracket * cmath.exp(-1j * (n + lam) * a)
 
 
 def spiral_overlap_probability(lam: float, alpha: float) -> float:
-    """(1 - alpha/pi)^2 sin^2(lam pi) + cos^2(lam pi); independent of l, j."""
+    """(1 - alpha/pi)^2 sin^2(lam pi) + cos^2(lam pi); independent of n."""
     a = wrap_angle(alpha)
     s, c = math.sin(lam * math.pi), math.cos(lam * math.pi)
     return (1.0 - a / math.pi) ** 2 * s * s + c * c
@@ -161,9 +160,6 @@ class SampledCurve:
             writer.writerow(self.header)
             for a, p in self.samples:
                 writer.writerow([f"{a:.12g}", f"{p:.12g}"])
-
-    def report(self) -> dict:
-        return {"plate": to_dict(self.plate), "n_samples": len(self.samples)}
 
 
 def sample_curve(plate, n_samples: int, verify: bool = False) -> SampledCurve:

@@ -1,9 +1,9 @@
-"""Two-photon state of the down-conversion source in the lambda = 1/2
-fractional-OAM basis, analyzer-induced collapse, and the coincidence fringe.
+"""Two-photon coincidences of the down-conversion source in the lambda = 1/2
+fractional-OAM basis: analyzer-induced collapse and the coincidence fringe.
 
-The pump is restricted to a pure OAM mode (index q), which fixes the
-Schmidt pairing but drops out of every coincidence rate. The radial factor
-and the fiber projections are absorbed into one overall constant,
+A rate needs only the two analyzer plates: the pump OAM enters the amplitude
+as a global phase only, so the collapse takes a pump without OAM. The radial
+factor and the fiber projections are absorbed into one overall constant,
 normalized to unity, since the correlation function built downstream
 cancels it. The coincidence probability depends only on the relative
 orientation of the two analyzers: ``fringe_probability`` gives it in closed
@@ -13,7 +13,6 @@ form and ``coincidence_fringe`` samples it uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .angular import TWO_PI, NonIntegerOamState, wrap_angle
@@ -24,7 +23,7 @@ from .overlap import (
     spiral_overlap_amplitude,
     step_overlap_amplitude,
 )
-from .plates import PhasePlate, Spiral, Step
+from .plates import Spiral, Step
 
 _HALF_INT_TOL = 1e-12
 
@@ -33,35 +32,13 @@ class UnsupportedAnalyzerError(ValueError):
     """Analyzer plate outside the family the collapse derivation covers."""
 
 
-@dataclass(frozen=True)
-class TwoPhotonState:
-    """Source state in the lambda = 1/2 basis: the pump OAM q."""
-
-    q: int = 0
-
-
-@dataclass(frozen=True)
-class AnalyzerSetting:
-    plate: PhasePlate
-    arm: str  # "signal" | "idler"
-
-    def __post_init__(self):
-        if self.arm not in ("signal", "idler"):
-            raise ValueError(f"arm must be 'signal' or 'idler', got {self.arm!r}")
-
-
-def schmidt_pairing(q: int, n: int) -> int:
-    """Idler basis index paired with signal index n for pump OAM q."""
-    return q - n - 1
-
-
 def _spiral_parts(plate: Spiral):
     j = math.floor(plate.ell)
     lam = plate.ell - j
     return j, lam
 
 
-def collapse_idler(state: TwoPhotonState, signal_plate) -> NonIntegerOamState:
+def collapse_idler(signal_plate) -> NonIntegerOamState:
     """State the idler photon is left in once the signal detector fires
     behind a half-integer spiral analyzer oriented at alpha_s."""
     if not isinstance(signal_plate, Spiral):
@@ -71,30 +48,21 @@ def collapse_idler(state: TwoPhotonState, signal_plate) -> NonIntegerOamState:
         raise UnsupportedAnalyzerError(
             "collapse is derived for half-integer plates in the lambda=1/2 basis"
         )
-    # signal collapses to index -j-1; the Schmidt pairing hands the idler q+j
-    return NonIntegerOamState(schmidt_pairing(state.q, -j - 1), 0.5, signal_plate.alpha)
+    # signal collapses to index -j-1; the Schmidt pairing hands the idler j
+    return NonIntegerOamState(j, 0.5, signal_plate.alpha)
 
 
-def _same_family(a, b) -> bool:
-    return type(a) is type(b)
-
-
-def coincidence_amplitude(state: TwoPhotonState, signal: AnalyzerSetting,
-                          idler: AnalyzerSetting) -> complex:
+def coincidence_amplitude(signal_plate, idler_plate) -> complex:
     """Projection amplitude for a joint detection; reduces to the
     rotation-overlap amplitude at the relative analyzer orientation."""
-    ps, pi_ = signal.plate, idler.plate
-    if not _same_family(ps, pi_):
+    if type(signal_plate) is not type(idler_plate):
         raise UnsupportedAnalyzerError("signal and idler analyzers must share a plate family")
-    delta = wrap_angle(pi_.alpha - ps.alpha)
-    if isinstance(ps, Spiral):
-        collapsed = collapse_idler(state, ps)
-        return spiral_overlap_amplitude(
-            collapsed.l - math.floor(ps.ell), math.floor(ps.ell), 0.5, delta
-        )
-    if isinstance(ps, Step):
-        return complex(step_overlap_amplitude(ps.phi, delta))
-    return binary_mask_overlap(ps, delta)
+    delta = wrap_angle(idler_plate.alpha - signal_plate.alpha)
+    if isinstance(signal_plate, Spiral):
+        return spiral_overlap_amplitude(collapse_idler(signal_plate).l, 0.5, delta)
+    if isinstance(signal_plate, Step):
+        return complex(step_overlap_amplitude(signal_plate.phi, delta))
+    return binary_mask_overlap(signal_plate, delta)
 
 
 def fringe_probability(plate, delta: float) -> float:

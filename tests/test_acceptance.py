@@ -40,8 +40,6 @@ from oamsim.oracle import verify_fringe_sample, verify_overlap
 from oamsim.overlap import sample_curve, spiral_overlap_probability
 from oamsim.plates import BinarySectors, Spiral, Step, apply, plate_state
 from oamsim.twophoton import (
-    AnalyzerSetting,
-    TwoPhotonState,
     coincidence_amplitude,
     fringe_probability,
     fringe_probability_exact,
@@ -122,15 +120,10 @@ def test_criterion_4_fringe_law(capsys):
         report = verify_fringe_sample(plate, delta, grid=grid)
         max_oracle = max(max_oracle, report.abs_diff)
     zero_at_pi = fringe_probability(plate, math.pi)
-    state = TwoPhotonState()
     max_offset_drift = 0.0
     for offset in (0.3, 1.0, 2.5, 5.0):
-        base = coincidence_amplitude(
-            state, AnalyzerSetting(Spiral(0.5, 0.0), "signal"),
-            AnalyzerSetting(Spiral(0.5, 0.9), "idler"))
-        moved = coincidence_amplitude(
-            state, AnalyzerSetting(Spiral(0.5, offset), "signal"),
-            AnalyzerSetting(Spiral(0.5, 0.9 + offset), "idler"))
+        base = coincidence_amplitude(Spiral(0.5, 0.0), Spiral(0.5, 0.9))
+        moved = coincidence_amplitude(Spiral(0.5, offset), Spiral(0.5, 0.9 + offset))
         max_offset_drift = max(max_offset_drift, abs(base - moved))
     elapsed = time.perf_counter() - t0
     ok = (

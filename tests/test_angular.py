@@ -99,6 +99,14 @@ def test_grid_mismatch_raises():
         inner_product(a, b)
 
 
+def test_mixed_pair_raises():
+    grid = AngularGrid(64)
+    with pytest.raises(TypeError):
+        inner_product(integer_mode(0), integer_mode(0).to_sampled(grid))
+    with pytest.raises(TypeError):
+        inner_product(integer_mode(0).to_sampled(grid), integer_mode(0))
+
+
 def test_sampled_length_validation():
     with pytest.raises(GridMismatchError):
         Sampled(np.ones(10), AngularGrid(64))

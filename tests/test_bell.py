@@ -14,8 +14,6 @@ from oamsim.bell import (
     DegenerateFringeError,
     chsh_s,
     chsh_s_exact,
-    coincidence_probability,
-    e_correlation,
     evaluate_mask,
     s4_certificate,
     search_max_s,
@@ -34,18 +32,8 @@ def test_settings_validation():
         BellSettings(0.0, 1.0, 0.0, 1.0, 0.0)
 
 
-def test_coincidence_probability_uses_relative_angle():
-    fringe = _plate_fringe(Spiral(0.5))
-    assert coincidence_probability(fringe, 1.0, 1.0 + math.pi) == pytest.approx(0.0, abs=1e-14)
-    assert coincidence_probability(fringe, 0.3, 0.3) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_half_integer_spiral_correlations():
-    fringe = _plate_fringe(Spiral(0.5))
-    s = SPIRAL_SETTINGS
-    values = [
-        e_correlation(fringe, x, y, s.perp_offset) for x, y in s.pairs()
-    ]
+    values = list(chsh_s(_plate_fringe(Spiral(0.5)), SPIRAL_SETTINGS).e.values())
     assert values == pytest.approx([0.8, -0.8, 0.8, 0.8], abs=1e-12)
 
 

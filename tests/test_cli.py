@@ -239,10 +239,58 @@ def test_exit_code_bad_input(tmp_path, capsys):
         ["farfield", "--ell", "0.5", "--extent", "nan", "--grid", "128"],
         ["farfield", "--ell", "0.5", "--extent", "inf", "--grid", "128"],
         ["decompose", "--ell", "inf"],
+        ["decompose", "--ell", "1e19"],  # l overflows the radial overlaps
+        ["decompose", "--ell", "1e16"],  # neighbouring l share one float
+        ["decompose", "--ell", "0.5", "--target", "nan"],
+        ["decompose", "--ell", "0.5", "--target", "0"],
+        ["farfield", "--ell", "0.5", "--grid", "128", "--extent", "1e300"],
+        ["farfield", "--ell", "0.5", "--grid", "128", "--extent", "1e5"],
+        ["farfield", "--ell", "0.5", "--grid", "128", "--extent", "33"],  # cell > half a waist
     ):
         assert main(args + out) == 2, args
         _one_line_error(capsys)
     assert not (tmp_path / "out").exists()
+
+
+# every numeric flag of the computing subcommands, on a base command kept small
+_NUMERIC_FLAGS = [
+    (["bell", "--ell", "0.5"], ("--ell", "--alpha")),
+    (["bell", "--plate", "step"], ("--phi",)),
+    (["fringe", "--ell", "0.5", "--samples", "8"], ("--ell", "--alpha", "--samples")),
+    (["fringe", "--plate", "step", "--samples", "8"], ("--phi",)),
+    (["search", "--sectors", "2", "--budget", "40"], ("--sectors", "--phi", "--budget", "--seed")),
+    (["decompose", "--ell", "0.5", "--l-halfwidth", "4", "--p-max", "4"],
+     ("--ell", "--target", "--l-halfwidth", "--p-max")),
+    (["farfield", "--ell", "0.5", "--grid", "128"], ("--ell", "--grid", "--extent")),
+]
+_INT_FLAGS = {"--samples", "--sectors", "--budget", "--seed", "--l-halfwidth", "--p-max", "--grid"}
+_EDGE_VALUES = ("nan", "inf", "-inf", "1e300", "-1e300", "1e19", "0", "-1", "1e-300")
+
+
+def _edge_cases():
+    for base, flags in _NUMERIC_FLAGS:
+        for flag in flags:
+            for text in _EDGE_VALUES:
+                value = float(text)
+                if flag in _INT_FLAGS:
+                    # an integer flag gets the integers of the table; argparse
+                    # rejects nan, inf and 1e-300 before any program code runs
+                    if not math.isfinite(value) or value != int(value):
+                        continue
+                    text = str(int(value))
+                # "--flag=-1": a separate "-1" would read as an option
+                yield pytest.param(base + [f"{flag}={text}"], id=f"{base[0]} {flag}={text}")
+
+
+@pytest.mark.parametrize("args", _edge_cases())
+def test_numeric_flag_edge_values(tmp_path, capsys, args):
+    code = main(args + ["--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert len(err.strip().splitlines()) == 1, err
+    else:
+        assert "nan" not in out.lower() and "inf" not in out.lower(), out
 
 
 def test_exit_code_io_failure(tmp_path):

@@ -56,7 +56,7 @@ def test_spiral_amplitude_matches_rotated_basis_state():
         a0 = NonIntegerOamState(l + j, lam, 0.0).to_closed_form()
         a1 = NonIntegerOamState(l + j, lam, alpha).to_closed_form()
         direct = inner_product(a0, a1)
-        assert spiral_overlap_amplitude(l, j, lam, alpha) == pytest.approx(direct, abs=1e-12)
+        assert spiral_overlap_amplitude(l + j, lam, alpha) == pytest.approx(direct, abs=1e-12)
 
 
 def test_spiral_lambda_zero_is_constant_one():

@@ -8,62 +8,55 @@ import pytest
 from oamsim.angular import NonIntegerOamState
 from oamsim.plates import BinarySectors, Spiral, Step
 from oamsim.twophoton import (
-    AnalyzerSetting,
-    TwoPhotonState,
     UnsupportedAnalyzerError,
     coincidence_amplitude,
     coincidence_fringe,
     collapse_idler,
     fringe_probability,
     fringe_probability_exact,
-    schmidt_pairing,
 )
 
 
-def test_schmidt_pairing_conserves_total_oam():
-    # signal n + idler pairing + the two half-twists sum to the pump OAM
-    for q in (-2, 0, 3):
-        for n in (-3, 0, 2):
-            assert (n + 0.5) + (schmidt_pairing(q, n) + 0.5) == q
-
-
 def test_collapse_idler_index_and_orientation():
-    state = TwoPhotonState(q=0)
-    collapsed = collapse_idler(state, Spiral(2.5, 1.2))
+    collapsed = collapse_idler(Spiral(2.5, 1.2))
     assert isinstance(collapsed, NonIntegerOamState)
-    assert collapsed.l == 2  # q + floor(ell)
+    assert collapsed.l == 2  # floor(ell)
     assert collapsed.lam == 0.5
     assert collapsed.alpha == pytest.approx(1.2)
 
 
 def test_collapse_requires_half_integer_spiral():
-    state = TwoPhotonState()
     with pytest.raises(UnsupportedAnalyzerError):
-        collapse_idler(state, Spiral(2.25))
+        collapse_idler(Spiral(2.25))
     with pytest.raises(UnsupportedAnalyzerError):
-        collapse_idler(state, Step(math.pi))
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        AnalyzerSetting(Spiral(0.5), "neither")
+        collapse_idler(Step(math.pi))
 
 
 def test_coincidence_depends_only_on_relative_angle():
-    state = TwoPhotonState()
     for plate in (Spiral(1.5), Step(math.pi / 2), BinarySectors(1.0, ((0.3, 2.0),))):
         for offset in (0.0, 0.7, 2.0, 5.0):
             base = coincidence_amplitude(
-                state,
-                AnalyzerSetting(type(plate)(**_with_alpha(plate, 0.0)), "signal"),
-                AnalyzerSetting(type(plate)(**_with_alpha(plate, 1.1)), "idler"),
+                type(plate)(**_with_alpha(plate, 0.0)),
+                type(plate)(**_with_alpha(plate, 1.1)),
             )
             shifted = coincidence_amplitude(
-                state,
-                AnalyzerSetting(type(plate)(**_with_alpha(plate, offset)), "signal"),
-                AnalyzerSetting(type(plate)(**_with_alpha(plate, 1.1 + offset)), "idler"),
+                type(plate)(**_with_alpha(plate, offset)),
+                type(plate)(**_with_alpha(plate, 1.1 + offset)),
             )
             assert abs(base - shifted) < 1e-12
+
+
+@pytest.mark.parametrize("plate", [
+    Spiral(0.5), Spiral(2.5), Step(math.pi), Step(math.pi / 2),
+    BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 4.0))),
+])
+def test_coincidence_amplitude_gives_the_fringe(plate):
+    # the collapse path and the fringe behind CHSH and the CLI give one rate
+    for alpha_s, alpha_i in ((0.0, 0.0), (0.0, 1.1), (0.4, 3.5), (2.0, 0.3), (5.5, 1.0)):
+        signal = type(plate)(**_with_alpha(plate, alpha_s))
+        idler = type(plate)(**_with_alpha(plate, alpha_i))
+        rate = abs(coincidence_amplitude(signal, idler)) ** 2
+        assert abs(rate - fringe_probability(plate, alpha_i - alpha_s)) <= 1e-12
 
 
 def _with_alpha(plate, alpha):
@@ -79,13 +72,8 @@ def _with_alpha(plate, alpha):
 
 
 def test_mixed_analyzer_families_rejected():
-    state = TwoPhotonState()
     with pytest.raises(UnsupportedAnalyzerError):
-        coincidence_amplitude(
-            state,
-            AnalyzerSetting(Spiral(0.5), "signal"),
-            AnalyzerSetting(Step(math.pi), "idler"),
-        )
+        coincidence_amplitude(Spiral(0.5), Step(math.pi))
 
 
 def test_half_integer_fringe_is_parabolic():
@@ -130,9 +118,6 @@ def test_coincidence_fringe_sampling(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "delta_rad,coincidence_probability"
     assert len(lines) == 37
-    report = fringe.report()
-    assert report["n_samples"] == 36
-    assert report["plate"]["type"] == "spiral"
 
 
 def test_coincidence_fringe_validation():
