@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,6 +236,8 @@ def fractional_tail_bound(lam: float, dl_min: int, dl_max: int) -> float:
     half-infinite tails sum in closed form via the trigamma function
     (sum_{k>=0} 1/(k+a)^2 = polygamma(1, a)).
     """
+    from scipy.special import polygamma
+
     if lam == 0.0:
         return 0.0
     s2 = math.sin(math.pi * lam) ** 2

@@ -8,7 +8,9 @@ Angles are accepted in radians with pi-literal arithmetic ("pi/4", "-pi/2",
 The sizing flags have upper bounds, and a larger value exits 2 before any
 work: --budget 1000000, --sectors 16, --grid 4096, --samples 100000,
 --p-max 1000, --l-halfwidth 250. farfield --extent must lie between 8 and
---grid/4 waist radii, so a grid cell spans at most half a waist.
+--grid/4 waist radii, so a grid cell spans at most half a waist, and
+|--ell| at most pi*grid/(2*extent): by the sampling theorem the plate phase
+ell*theta may advance by at most pi per cell at the waist radius.
 """
 
 from __future__ import annotations

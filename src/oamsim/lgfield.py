@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .angular import oam_spectrum
-from .plates import plate_state, profile
+from .plates import Spiral, plate_state, profile
 
 
 def radial_overlaps(l: int, p_max: int) -> np.ndarray:
@@ -39,8 +38,13 @@ def radial_overlaps(l: int, p_max: int) -> np.ndarray:
     if al == 0:
         return (ps == 0).astype(float)
     a = al / 2.0
-    log_magnitude = (math.log(a) + gammaln(ps + a)
-                     - 0.5 * (gammaln(ps + 1) + gammaln(ps + al + 1)))
+    # the p = 0 term, then the logs of the ratios of consecutive terms,
+    # (p + a) / sqrt((p + 1)(p + |l| + 1)), summed up: every addend stays
+    # small, so no difference of two large log-Gammas loses digits
+    head = math.lgamma(a + 1.0) - 0.5 * math.lgamma(al + 1.0)
+    q = ps[:-1]
+    steps = np.log(q + a) - 0.5 * (np.log(q + 1.0) + np.log(q + al + 1.0))
+    log_magnitude = head + np.concatenate(([0.0], np.cumsum(steps)))
     return (-1.0) ** ps * np.exp(log_magnitude)
 
 
@@ -155,17 +159,13 @@ class FarFieldImage:
         """Intensity sampled at 720 angles on the circle at the radius (in
         pixels from the center) where the azimuthally averaged intensity
         peaks."""
-        # deferred: scipy.ndimage adds about 70 ms to every import of the
-        # package, and only the image metrics need it
-        from scipy.ndimage import map_coordinates
-
         n = self.n
         center = n / 2.0
         radius = peak_radius(self.intensity)
         phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         rows = center + radius * np.sin(phis)
         cols = center + radius * np.cos(phis)
-        return map_coordinates(self.intensity, [rows, cols], order=3, mode="nearest")
+        return _cubic_spline_sample(self.intensity, rows, cols)
 
     def asymmetry_metric(self) -> float:
         """max/min of the azimuthal intensity profile at the peak radius."""
@@ -206,6 +206,57 @@ class FarFieldImage:
                        "plate": to_dict(self.plate)}, fh, indent=2)
 
 
+# the pole of the cubic B-spline's inverse filter (Unser, Aldroubi and Eden,
+# IEEE Trans. Signal Process. 41, 821 (1993)), and the edge pixels added on
+# every side before filtering, so the image continues flat beyond its edge
+_POLE = math.sqrt(3.0) - 2.0
+_PAD = 12
+
+
+def _spline_prefilter(samples: np.ndarray) -> np.ndarray:
+    """Cubic B-spline coefficients along axis 0 that interpolate the
+    samples: the gain, then a causal and an anticausal first-order
+    recursion, each started as for a signal mirrored about its end points
+    with the end samples repeated."""
+    c = np.array(samples, dtype=float, order="C")
+    n = c.shape[0]
+    z = _POLE
+    c *= (1.0 - z) * (1.0 - 1.0 / z)
+    # |z|^64 < 1e-36: later terms of the starting sum are below rounding
+    powers = z ** np.arange(min(n, 64))
+    k = len(powers)
+    c[0] += z / (1.0 - z ** (2 * n)) * (powers @ c[:k] + z**n * (powers @ c[::-1][:k]))
+    for i in range(1, n):
+        c[i] += z * c[i - 1]
+    c[-1] *= z / (z - 1.0)
+    for i in range(n - 2, -1, -1):
+        c[i] = z * (c[i + 1] - c[i])
+    return c
+
+
+def _cubic_spline_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The image at the fractional pixel positions (rows, cols), by cubic
+    B-spline interpolation with the edge pixels repeated beyond the image
+    (what ``scipy.ndimage.map_coordinates(order=3, mode="nearest")``
+    computes)."""
+    coeffs = _spline_prefilter(np.pad(image, _PAD, mode="edge"))
+    taps, weights = [], []
+    for x, size in ((rows, coeffs.shape[0]), (cols, coeffs.shape[1])):
+        x = np.asarray(x, dtype=float) + _PAD
+        base = np.floor(x)
+        t = x - base
+        u = 1.0 - t
+        weights.append(np.array([u**3, 3.0 * t * t * (t - 2.0) + 4.0,
+                                 3.0 * u * u * (u - 2.0) + 4.0, t**3]) / 6.0)
+        taps.append(np.clip(base.astype(int) + np.arange(-1, 3)[:, None], 0, size - 1))
+    # the filter along a row reads that row alone, so it runs on the rows
+    # the samples tap and on no other
+    rows_read, row_taps = np.unique(taps[0], return_inverse=True)
+    coeffs = _spline_prefilter(coeffs[rows_read].T).T
+    values = coeffs[row_taps.reshape(taps[0].shape)[:, None, :], taps[1][None, :, :]]
+    return np.einsum("am,bm,abm->m", weights[0], weights[1], values)
+
+
 def peak_radius(intensity: np.ndarray) -> float:
     """Radius (pixels) maximizing the azimuthally averaged intensity; falls
     back to the half-maximum radius when the peak sits on the axis."""
@@ -240,6 +291,13 @@ def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
     # by 1.1e-8, against 2.9e-2 at cells of one waist (n = 128)
     if not 8.0 <= extent <= n / 4:
         raise ValueError(f"extent must lie in [8, grid/4 = {n / 4:g}] waist radii, got {extent}")
+    # sampling theorem: at the waist radius the plate phase l*theta may
+    # advance by at most pi per cell, |l| * cell <= pi * w0; past that the
+    # grid aliases the spiral into a pattern that is not the plate's
+    ell_limit = math.pi * n / (2.0 * extent)
+    if isinstance(plate, Spiral) and abs(plate.ell) > ell_limit:
+        raise ValueError(f"|ell| must be at most pi*grid/(2*extent) = {ell_limit:.6g} for the "
+                         f"grid to sample the plate phase at the waist, got {plate.ell}")
     # half-cell offset: no sample sits on the vortex axis and the grid is
     # symmetric under inversion, so odd-harmonic terms cancel exactly in
     # the DC bin (intensity is unaffected by the induced phase ramp)

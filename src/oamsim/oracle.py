@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .angular import AngularGrid, inner_product, sample_midpoints, wrap_angle
 from .bell import BellSettings, POLARIZATION_SETTINGS, SPIRAL_SETTINGS, chsh_s
@@ -167,8 +166,10 @@ def fill_gl_rules(order: int, alphas) -> None:
     operations as for a single alpha, so a rule is bit-identical whichever
     batch built it; the eigenvalues are found one alpha at a time.
     """
-    # deferred: only this check uses scipy.linalg, so start-up skips it
+    # deferred: only the quadrature check uses scipy, so the program never
+    # imports it
     from scipy.linalg import eigh_tridiagonal
+    from scipy.special import gammaln
 
     alphas = [a for a in dict.fromkeys(alphas) if (order, a) not in _GL_RULES]
     if not alphas:
@@ -210,6 +211,8 @@ def quadrature_radial_overlaps(l: int, p_max: int, order: int) -> np.ndarray:
     bounded at the far nodes, where the raw polynomials overflow long
     before their weighted contribution matters.
     """
+    from scipy.special import gammaln
+
     al = abs(l)
     nodes, log_weights = _gl_nodes(order, al / 2.0)
     with np.errstate(**_LOUD):

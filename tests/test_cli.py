@@ -246,6 +246,9 @@ def test_exit_code_bad_input(tmp_path, capsys):
         ["farfield", "--ell", "0.5", "--grid", "128", "--extent", "1e300"],
         ["farfield", "--ell", "0.5", "--grid", "128", "--extent", "1e5"],
         ["farfield", "--ell", "0.5", "--grid", "128", "--extent", "33"],  # cell > half a waist
+        ["farfield", "--ell", "12.6", "--grid", "128"],  # plate phase aliased at the waist
+        ["farfield", "--ell=-1e6", "--grid", "128"],
+        ["farfield", "--ell", "1e9", "--grid", "128"],
     ):
         assert main(args + out) == 2, args
         _one_line_error(capsys)
@@ -333,14 +336,24 @@ def test_fringe_verify_mismatch_exits_1(tmp_path, capsys, kind):
     assert _one_line_error(capsys).startswith("oracle mismatch:")
 
 
-def test_cli_import_leaves_scipy_ndimage_unloaded():
-    # only the far-field image metrics need scipy.ndimage; they import it
-    # on first use, so no other command pays for it
+def test_subcommands_load_no_scipy(tmp_path):
+    # scipy serves only the oracle's quadrature check and the tests; the
+    # import and every subcommand run on numpy alone
     src = str(Path(oamsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, oamsim.cli; print([m for m in sys.modules"
-            " if m == 'scipy.ndimage' or m.startswith('scipy.ndimage.')])")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    commands = [
+        ["bell", "--ell", "0.5"],
+        ["fringe", "--ell", "0.5", "--verify"],
+        ["verify"],
+        ["decompose", "--ell", "0.5"],
+        ["farfield", "--ell", "3.5", "--grid", "128"],
+        ["search", "--budget", "200"],
+    ]
+    code = ("import sys, oamsim.cli\n"
+            f"codes = [oamsim.cli.main(argv) for argv in {commands!r}]\n"
+            "print(codes, sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"

@@ -1,28 +1,34 @@
 """Tests for LG radial overlaps, decompositions, and far fields."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 from scipy.special import roots_genlaguerre
 
 from oamsim import oracle
-from oamsim.lgfield import decompose_plate_output, far_field, peak_radius, radial_overlaps
+from oamsim.lgfield import (
+    _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
 from oamsim.plates import Spiral
 
 
 def _analytic_radial_overlap(l, p):
-    """Closed-form overlap of R_{l,p} with R_{0,0} via Gamma functions."""
-    from math import exp, lgamma
-
-    a = abs(l) / 2.0
-    if p == 0:
-        integral = exp(lgamma(a + 1.0))
-    elif a == 0.0:
-        integral = 0.0  # 1/Gamma(0): higher radial orders are orthogonal at l=0
+    """Closed-form overlap of R_{l,p} with R_{0,0}, (-1)^p a Gamma(p+a) /
+    sqrt(p! (p+|l|)!) with a = |l|/2, its square evaluated exactly in
+    integers and rounded once (Gamma(n+1/2) = (2n)! sqrt(pi) / (4^n n!))."""
+    al = abs(l)
+    if al == 0:
+        return float(p == 0)  # 1/Gamma(0): higher radial orders are orthogonal at l=0
+    if al % 2 == 0:
+        gamma_square, pi_power = Fraction(math.factorial(p + al // 2 - 1)) ** 2, 0
     else:
-        integral = exp(lgamma(a + 1.0) + lgamma(p + a) - lgamma(p + 1.0) - lgamma(a))
-    return (-1.0) ** p * exp(0.5 * (lgamma(p + 1.0) - lgamma(p + abs(l) + 1.0))) * integral
+        n = p + al // 2
+        gamma_square = Fraction(math.factorial(2 * n), 4**n * math.factorial(n)) ** 2
+        pi_power = 1
+    square = Fraction(al * al, 4) * gamma_square / (math.factorial(p) * math.factorial(p + al))
+    return (-1.0) ** p * math.sqrt(float(square) * math.pi**pi_power)
 
 
 def test_radial_overlaps_match_analytic():
@@ -33,6 +39,14 @@ def test_radial_overlaps_match_analytic():
             expected = _analytic_radial_overlap(l, p)
             assert closed[p] == pytest.approx(expected, abs=1e-13)
             assert quadrature[p] == pytest.approx(expected, abs=1e-13)
+
+
+@pytest.mark.parametrize("l, p_max", [(63, 200), (1001, 300)])
+def test_radial_overlaps_accurate_relative_to_their_size(l, p_max):
+    # far out in p the overlaps are tiny (3e-74 at l = 1001), so an
+    # absolute tolerance would pass anything there
+    expected = np.array([_analytic_radial_overlap(l, p) for p in range(p_max + 1)])
+    np.testing.assert_allclose(radial_overlaps(l, p_max), expected, rtol=1e-12, atol=0)
 
 
 def test_radial_overlap_high_order_is_stable():
@@ -132,6 +146,12 @@ def test_far_field_validation():
         far_field(Spiral(0.0), n=100)
     with pytest.raises(ValueError):
         far_field(Spiral(0.0), n=256, extent=2.0)
+    # |ell| * cell <= pi * w0, with cells of a quarter waist at 128^2 over
+    # +-16 waists: the bound is 4 pi = 12.566
+    far_field(Spiral(4.0 * math.pi - 1e-9), n=128, extent=16.0)
+    for ell in (12.6, -1e6, 1e9):
+        with pytest.raises(ValueError, match="sample the plate phase"):
+            far_field(Spiral(ell), n=128, extent=16.0)
 
 
 def test_far_field_gaussian_is_symmetric():
@@ -150,6 +170,30 @@ def test_far_field_gaussian_matches_analytic_image():
     expected = np.exp(-2.0 * math.pi**2 * (f[:, None] ** 2 + f[None, :] ** 2))
     expected /= expected.sum()
     assert float(np.max(np.abs(image.intensity - expected))) <= 1e-12 * float(expected.max())
+
+
+@pytest.mark.parametrize("ell", [0.0, 0.5, 2.25, 3.0, 3.5])
+def test_azimuthal_profile_matches_ndimage_spline(ell):
+    image = far_field(Spiral(ell), n=1024)
+    center, radius = 512.0, peak_radius(image.intensity)
+    phis = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    points = [center + radius * np.sin(phis), center + radius * np.cos(phis)]
+    expected = map_coordinates(image.intensity, points, order=3, mode="nearest")
+    got = image.azimuthal_profile()
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(expected))
+
+
+def test_spline_sampler_matches_ndimage_up_to_the_edges():
+    rng = np.random.default_rng(7)
+    # a smooth image: a few random low-frequency waves on a 60 x 80 grid
+    yy, xx = np.indices((60, 80))
+    image = sum(rng.normal() * np.cos(rng.uniform(0, 0.4) * yy + rng.uniform(0, 0.4) * xx
+                                      + rng.uniform(0, 2 * math.pi)) for _ in range(6))
+    # points inside, on and up to three pixels beyond every edge
+    rows, cols = rng.uniform(-3, 63, 2000), rng.uniform(-3, 83, 2000)
+    expected = map_coordinates(image, [rows, cols], order=3, mode="nearest")
+    got = _cubic_spline_sample(image, rows, cols)
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
 
 
 def test_far_field_vortex_has_on_axis_null():
