@@ -6,9 +6,7 @@ far-field diffraction images."""
 from .angular import (
     AngularGrid,
     ClosedForm,
-    GridMismatchError,
     NonIntegerOamState,
-    Sampled,
     inner_product,
     integer_mode,
     norm,
@@ -34,7 +32,7 @@ from .overlap import (
     spiral_overlap_probability,
     step_overlap_probability,
 )
-from .plates import BinarySectors, PhasePlate, Spiral, Step, adjoint, apply, plate_state
+from .plates import BinarySectors, PhasePlate, Spiral, Step, plate_state
 from .twophoton import (
     UnsupportedAnalyzerError,
     coincidence_amplitude,

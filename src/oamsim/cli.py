@@ -10,7 +10,10 @@ work: --budget 1000000, --sectors 16, --grid 4096, --samples 100000,
 --p-max 1000, --l-halfwidth 250. farfield --extent must lie between 8 and
 --grid/4 waist radii, so a grid cell spans at most half a waist, and
 |--ell| at most pi*grid/(2*extent): by the sampling theorem the plate phase
-ell*theta may advance by at most pi per cell at the waist radius.
+ell*theta may advance by at most pi per cell at the waist radius. fringe
+--verify on a spiral takes |--ell| at most sqrt(tol)*2**53/(2*pi), 1.43e11
+at the oracle's tolerance tol = 1e-8: past it, rounding ell*theta to a
+double moves the quadrature by more than tol, and the check exits 2.
 """
 
 from __future__ import annotations

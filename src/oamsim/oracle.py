@@ -1,26 +1,30 @@
 """Independent verification layer: every closed-form overlap, fringe, and
-Bell number is recomputed from first principles by angular quadrature on
-plate-applied sampled states, and the closed-form LG radial overlaps by
-generalized Gauss-Laguerre quadrature.
+Bell number is recomputed from first principles by angular quadrature, and
+the closed-form LG radial overlaps by generalized Gauss-Laguerre quadrature.
 
-Rotation angles are snapped to grid nodes before comparison so that every
-phase jump of the piecewise integrand lies on a node; the rectangle rule is
-then exact for the piecewise-constant products that arise, and the 1e-8
-default tolerance sits far above the resulting floating-point floor.
+The angular quadrature samples each plate's phase from the plate's own
+fields (``geometric_profile``), never through the piece and interval tables
+the closed forms are built from, so a wrong table cannot pass on both sides.
+Rotation angles are snapped to grid nodes before comparison so that, for
+plates whose edges lie on nodes, every phase jump of the integrand does too;
+the midpoint rule is then exact for the piecewise-constant products that
+arise, and the 1e-8 default tolerance sits far above the resulting
+floating-point floor.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angular import AngularGrid, inner_product, sample_midpoints, wrap_angle
+from .angular import TWO_PI, AngularGrid
 from .bell import BellSettings, POLARIZATION_SETTINGS, SPIRAL_SETTINGS, chsh_s
 from .overlap import closed_form_probability
-from .plates import BinarySectors, Spiral, Step, plate_state
+from .plates import BinarySectors, Spiral, Step
 from .twophoton import fringe_probability
 
 
@@ -54,17 +58,49 @@ def _report(quantity, closed, oracle, grid, tol) -> OracleReport:
     return OracleReport(quantity, closed, oracle, diff, grid.n_points, tol, diff <= tol)
 
 
+def geometric_profile(plate, thetas) -> np.ndarray:
+    """The plate's phase factor at each angle, read from the plate's own
+    fields in its local angle (theta - alpha) mod 2*pi: e^{i*ell*local} for a
+    spiral; e^{i*phi} where local < pi for a step and where local lies in a
+    listed sector for a binary mask, 1 elsewhere."""
+    local = np.mod(thetas - plate.alpha, TWO_PI)
+    if isinstance(plate, Spiral):
+        return np.exp(1j * plate.ell * local)
+    if isinstance(plate, Step):
+        delayed = local < math.pi
+    else:
+        delayed = np.zeros(local.shape, dtype=bool)
+        for a, b in plate.sectors:
+            delayed |= (a <= local) & (local < b)
+    return np.where(delayed, cmath.exp(1j * plate.phi), 1.0 + 0.0j)
+
+
 def quadrature_overlap_probability(plate, alpha: float, grid: AngularGrid) -> float:
-    """|<state(plate)|state(plate rotated by alpha)>|^2 by grid quadrature."""
-    s0 = sample_midpoints(plate_state(plate, 0), grid)
-    rotated = replace(plate, alpha=wrap_angle(plate.alpha + alpha))
-    s1 = sample_midpoints(plate_state(rotated, 0), grid)
-    return abs(inner_product(s0, s1)) ** 2
+    """|<state(plate)|state(plate rotated by alpha)>|^2 by the midpoint rule
+    on the grid's cells."""
+    mids = grid.thetas + 0.5 * grid.spacing
+    p0 = geometric_profile(plate, mids)
+    p1 = geometric_profile(replace(plate, alpha=plate.alpha + alpha), mids)
+    return abs(complex(np.vdot(p0, p1)) / grid.n_points) ** 2
+
+
+def _require_resolvable(plate, tolerance):
+    """ValueError for a spiral whose phase the quadrature cannot resolve.
+
+    Rounding ell*theta to a double costs the overlap probability about
+    (2*pi*|ell|*2**-53)**2, so |ell| may reach sqrt(tolerance)*2**53/(2*pi),
+    1.43e11 at the default 1e-8, before the check would flag a right value.
+    """
+    limit = math.sqrt(tolerance) * 2.0**53 / TWO_PI
+    if isinstance(plate, Spiral) and abs(plate.ell) > limit:
+        raise ValueError(f"|ell| {abs(plate.ell):g} exceeds {limit:.3g}, the largest "
+                         f"the quadrature resolves at tolerance {tolerance:g}")
 
 
 def _verify(law, quantity, plate, angle, tolerance, grid) -> OracleReport:
     """``law(plate, a)`` against the quadrature rotation overlap at the grid
     node ``a`` nearest ``angle``, named by ``quantity.format(family, a)``."""
+    _require_resolvable(plate, tolerance)
     grid = grid or AngularGrid()
     a = grid.nearest_node(angle)
     closed = law(plate, a)
@@ -92,6 +128,7 @@ def verify_bell(plate, settings: BellSettings = SPIRAL_SETTINGS,
                 grid: AngularGrid | None = None) -> OracleReport:
     """S computed twice: closed-form fringe versus the fully
     quadrature-derived fringe."""
+    _require_resolvable(plate, tolerance)
     grid = grid or AngularGrid()
     closed = chsh_s(lambda d: fringe_probability(plate, d), settings).s
     oracle = chsh_s(
@@ -124,6 +161,24 @@ def write_jsonl(reports, path):
     with open(path, "w") as fh:
         for report in reports:
             fh.write(report.to_json() + "\n")
+
+
+def fractional_tail_bound(lam: float, dl_min: int, dl_max: int) -> float:
+    """Analytic power of a pure fractional state e^{i*(m+lam)*theta} falling
+    outside the window l - m in [dl_min, dl_max].
+
+    Each component carries power sin^2(pi*lam)/(pi*(dl - lam))^2; the two
+    half-infinite tails sum in closed form via the trigamma function
+    (sum_{k>=0} 1/(k+a)^2 = polygamma(1, a)).
+    """
+    from scipy.special import polygamma
+
+    if lam == 0.0:
+        return 0.0
+    s2 = math.sin(math.pi * lam) ** 2
+    upper = float(polygamma(1, dl_max + 1 - lam))
+    lower = float(polygamma(1, 1 + lam - dl_min))
+    return s2 / math.pi**2 * (upper + lower)
 
 
 # overflow or NaN in the quadrature kernels is a bug, never a result, and

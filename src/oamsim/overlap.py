@@ -166,8 +166,8 @@ def sample_curve(plate, n_samples: int, verify: bool = False) -> SampledCurve:
     """Uniformly sample the plate's rotation-overlap law on [0, 2*pi).
 
     With ``verify`` on, each sample angle is snapped to the default
-    quadrature grid and cross-checked against the sampled-state inner
-    product at the oracle's default tolerance. The check is exact only when
+    quadrature grid and cross-checked against the oracle's quadrature of
+    the sampled plate profiles at its default tolerance. The check is exact only when
     every phase jump lies on a grid node: for binary masks whose sector
     boundaries fall between nodes, the quadrature carries an O(1/n_points)
     boundary error and the check raises OracleMismatch.

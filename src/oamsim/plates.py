@@ -13,17 +13,11 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import (
-    TWO_PI,
-    ClosedForm,
-    Sampled,
-    integer_mode,
-    wrap_angle,
-)
+from .angular import TWO_PI, ClosedForm, wrap_angle
 
 
 def _require_finite(plate, *names):
@@ -173,32 +167,10 @@ def profile(plate, theta) -> np.ndarray:
     return fac
 
 
-def apply(plate, state):
-    """Act with the plate on a state; pointwise phase multiplication.
-
-    ClosedForm states stay closed-form (the piecewise factors multiply and
-    nu shifts by the spiral step); Sampled states are multiplied node-wise.
-    """
-    if isinstance(state, Sampled):
-        return Sampled(state.values * profile(plate, state.grid.thetas), state.grid)
-    shift, pb, pf = _pieces(plate)
-    bs = sorted(set(state.boundaries) | set(pb))
-    plate_cf = ClosedForm(0.0, tuple(pb), tuple(pf))
-    factors = tuple(state.factor_at(b) * plate_cf.factor_at(b) for b in bs)
-    return ClosedForm.from_pieces(state.nu + shift, tuple(bs), factors)
-
-
-def adjoint(plate):
-    """Inverse plate (negated phase profile); the complement plate up to the
-    global e^{i*2*pi*ell} factor, which is dropped throughout."""
-    if isinstance(plate, Spiral):
-        return replace(plate, ell=-plate.ell)
-    return replace(plate, phi=-plate.phi)
-
-
 def plate_state(plate, l: int) -> ClosedForm:
     """The basis state the plate produces from the OAM eigenstate |l>."""
-    return apply(plate, integer_mode(l))
+    shift, boundaries, factors = _pieces(plate)
+    return ClosedForm(l + shift, boundaries, factors)
 
 
 def to_dict(plate) -> dict:
@@ -230,6 +202,3 @@ def from_dict(doc: dict):
 def to_json(plate) -> str:
     return json.dumps(to_dict(plate))
 
-
-def from_json(text: str):
-    return from_dict(json.loads(text))

@@ -336,6 +336,16 @@ def test_fringe_verify_mismatch_exits_1(tmp_path, capsys, kind):
     assert _one_line_error(capsys).startswith("oracle mismatch:")
 
 
+def test_fringe_verify_rejects_unresolvable_ell(tmp_path, capsys):
+    # past |ell| = 1.43e11 rounding ell*theta moves the quadrature by more
+    # than its tolerance, so the check would flag the right closed form
+    argv = ["fringe", "--kind", "overlap", "--verify", "--samples", "8",
+            "--out", str(tmp_path / "f.csv")]
+    assert main(argv + ["--ell", "2.5e15"]) == 2
+    assert _one_line_error(capsys).startswith("error:")
+    assert main(argv + ["--ell", "1e10"]) == 0
+
+
 def test_subcommands_load_no_scipy(tmp_path):
     # scipy serves only the oracle's quadrature check and the tests; the
     # import and every subcommand run on numpy alone

@@ -5,14 +5,16 @@ import json
 import math
 
 import numpy as np
+import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from oamsim import oracle
-from oamsim.angular import AngularGrid
+from oamsim import oracle, overlap, plates
+from oamsim.angular import TWO_PI, AngularGrid
 from oamsim.bell import POLARIZATION_SETTINGS
 from oamsim.lgfield import radial_overlaps
 from oamsim.oracle import (
+    geometric_profile,
     quadrature_radial_overlaps,
     standard_sweep,
     verify_bell,
@@ -37,6 +39,58 @@ def test_verify_overlap_tight():
         for alpha in (0.5, math.pi / 2, 4.0):
             report = verify_overlap(plate, alpha, tolerance=1e-10, grid=grid)
             assert report.passed, report
+
+
+def test_midpoint_sampling_exact_for_node_aligned_jumps():
+    grid = AngularGrid(256)
+    jump = grid.spacing * 100
+    mids = grid.thetas + 0.5 * grid.spacing
+    profile = geometric_profile(BinarySectors(math.pi, ((jump, TWO_PI),)), mids)
+    # <0|psi> for psi = 1 on [0, jump), -1 after: (1/2pi) [jump - (2pi - jump)]
+    exact = (2.0 * jump - TWO_PI) / TWO_PI
+    assert np.mean(profile).real == pytest.approx(exact, abs=1e-14)
+
+
+def test_verify_overlap_mask_straddling_zero():
+    # rotated by 3*pi/4, the second sector runs from 7*pi/4 round through 0
+    # to pi/4: the closed form takes its wrapped-tail path
+    mask = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)),
+                         3 * math.pi / 4)
+    for alpha in (0.5, math.pi / 4, math.pi / 2, math.pi, 5.0):
+        report = verify_overlap(mask, alpha, tolerance=1e-10)
+        assert report.passed, report
+
+
+def _merge_across_one_radian(original):
+    def mutant(raw, period=TWO_PI):
+        merged = []
+        for a, b in original(raw, period):
+            if merged and a <= merged[-1][1] + 1.0:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+            else:
+                merged.append((a, b))
+        return merged
+    return mutant
+
+
+def test_oracle_catches_a_wrong_interval_table(monkeypatch):
+    # the mutant replaces wrap_intervals wherever the program looks it up,
+    # as an edit to the function would; an oracle that sampled its states
+    # through the same intervals would agree with the wrong closed form
+    mutant = _merge_across_one_radian(plates.wrap_intervals)
+    monkeypatch.setattr(plates, "wrap_intervals", mutant)
+    monkeypatch.setattr(overlap, "wrap_intervals", mutant)
+    mask = BinarySectors(math.pi, ((0.0, math.pi / 4), (math.pi / 2, 3 * math.pi / 4)))
+    for alpha in (math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2):
+        assert not verify_overlap(mask, alpha).passed, alpha
+
+
+@pytest.mark.parametrize("ell", [2.5e15, 1e12 + 0.25, -1e300])
+def test_unresolvable_spiral_rejected(ell):
+    with pytest.raises(ValueError):
+        verify_overlap(Spiral(ell), 1.0)
+    with pytest.raises(ValueError):
+        verify_bell(Spiral(ell))
 
 
 def test_verify_fringe_sample():
@@ -102,8 +156,8 @@ def test_batched_gl_rules_match_per_alpha_recurrence(monkeypatch):
             assert np.array_equal(log_weights, ref_log_weights), (order, alpha)
 
 
-def test_oracle_does_not_import_lgfield():
-    # an oracle built on the code it checks would check nothing
+def _oracle_imports():
+    """Every module and name that oracle.py imports."""
     with open(oracle.__file__) as fh:
         tree = ast.parse(fh.read())
     names = set()
@@ -112,4 +166,17 @@ def test_oracle_does_not_import_lgfield():
             names.add(node.module or "")
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_oracle_does_not_import_lgfield():
+    # an oracle built on the code it checks would check nothing
+    names = _oracle_imports()
     assert not any("lgfield" in name for name in names), names
+
+
+def test_oracle_does_not_import_the_closed_form_machinery():
+    # the oracle may import the laws it checks, never what builds them
+    machinery = {"_pieces", "profile", "sector_intervals", "wrap_intervals", "plate_state",
+                 "inner_product", "ClosedForm"}
+    assert not machinery & _oracle_imports()

@@ -11,7 +11,7 @@ from oamsim.angular import (
     TWO_PI,
     AngularGrid,
     ClosedForm,
-    Sampled,
+    NonIntegerOamState,
     inner_product,
     integer_mode,
     norm,
@@ -20,13 +20,11 @@ from oamsim.plates import (
     BinarySectors,
     Spiral,
     Step,
-    adjoint,
-    apply,
-    from_json,
+    from_dict,
     plate_state,
     profile,
     sector_intervals,
-    to_json,
+    to_dict,
 )
 
 
@@ -65,19 +63,37 @@ def test_plate_preserves_norm_sampled(plate, seed):
     grid = AngularGrid(256)
     rng = np.random.default_rng(seed)
     values = rng.normal(size=256) + 1j * rng.normal(size=256)
-    state = Sampled(values, grid)
-    before = norm(state)
-    after = norm(apply(plate, state))
+    # the rectangle-rule L2 norm of the samples
+    scale = math.sqrt(grid.spacing)
+    before = scale * np.linalg.norm(values)
+    after = scale * np.linalg.norm(values * profile(plate, grid.thetas))
     assert after == pytest.approx(before, abs=1e-12 * max(before, 1.0))
 
 
+@settings(max_examples=100, deadline=None)
+@given(plate=_plates(), l=st.integers(min_value=-3, max_value=3))
+def test_plate_state_boundaries_strictly_increase_from_zero(plate, l):
+    # inner_product reads the pieces as they are built: nothing sorts,
+    # merges or completes them
+    state = plate_state(plate, l)
+    assert state.boundaries[0] == 0.0
+    assert all(a < b for a, b in zip(state.boundaries, state.boundaries[1:]))
+    assert state.boundaries[-1] < TWO_PI
+    assert len(state.factors) == len(state.boundaries)
+
+
 @settings(max_examples=50, deadline=None)
-@given(plate=_plates(), l=st.integers(min_value=-2, max_value=2))
-def test_adjoint_inverts(plate, l):
-    state = integer_mode(l)
-    roundtrip = apply(adjoint(plate), apply(plate, state))
-    overlap = inner_product(state, roundtrip)
-    assert abs(overlap - 1.0) < 1e-12
+@given(
+    l=st.integers(min_value=-3, max_value=3),
+    lam=st.floats(min_value=0.0, max_value=0.99),
+    alpha=st.floats(min_value=0.0, max_value=TWO_PI - 1e-9),
+)
+def test_spiral_plate_state_is_the_non_integer_state(l, lam, alpha):
+    by_plate = plate_state(Spiral(l + lam, alpha), 0)
+    by_basis = NonIntegerOamState(l, lam, alpha).to_closed_form()
+    for m in range(-5, 6):
+        mode = integer_mode(m)
+        assert abs(inner_product(mode, by_plate) - inner_product(mode, by_basis)) < 1e-12
 
 
 def test_profile_is_unimodular():
@@ -95,8 +111,9 @@ def test_closed_form_apply_matches_pointwise():
     mid = grid.thetas + 0.5 * grid.spacing
     for plate in (Spiral(1.5, 2.0), Step(math.pi, 1.0), BinarySectors(0.7, ((1.0, 2.0),), 5.0)):
         cf = plate_state(plate, 1)
-        direct = profile(plate, mid) * integer_mode(1).evaluate(mid)
-        assert np.allclose(cf.evaluate(mid), direct, atol=1e-12)
+        direct = profile(plate, mid) * np.exp(1j * mid) / math.sqrt(TWO_PI)
+        pieces = [cf.factor_at(t) * np.exp(1j * cf.nu * t) / math.sqrt(TWO_PI) for t in mid]
+        assert np.allclose(pieces, direct, atol=1e-12)
 
 
 def test_spiral_branch_factors():
@@ -159,10 +176,10 @@ def test_json_roundtrip():
         Step(math.pi / 2, 0.3),
         BinarySectors(math.pi, ((0.1, 0.9), (2.0, 2.5)), 1.0),
     ):
-        assert from_json(to_json(plate)) == plate
+        assert from_dict(to_dict(plate)) == plate
 
 
 def test_apply_requires_known_state_type():
-    merged = apply(Spiral(0.5, 1.0), ClosedForm(0.0))
+    merged = plate_state(Spiral(0.5, 1.0), 0)
     assert isinstance(merged, ClosedForm)
     assert merged.nu == pytest.approx(0.5)
