@@ -5,7 +5,8 @@ over binary sector masks for the algebraic-maximum S = 4 plate.
 One assembly serves two number types: floating point for arbitrary
 fringes, and exact rational arithmetic (angles as fractions of pi) for the
 parabolic fringes, where S = 16/5 holds exactly and tolerances would only
-mask sign errors.
+mask sign errors. Its arithmetic is elementwise, so the mask search feeds
+it numpy arrays and scores a whole batch of masks in one pass.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angular import TWO_PI, wrap_angle
-from .overlap import binary_mask_fringe
+from .overlap import binary_mask_probabilities, closed_form_probability
 from .plates import BinarySectors, to_dict
 
 _PAIR_KEYS = ("a1a2", "a1pa2", "a1a2p", "a1pa2p")
@@ -96,10 +97,13 @@ def _four_probabilities(fringe, wrap, x, y, perp):
 
 def _correlation(four, floor, x, y):
     """E = [P(x,y) + P(x',y') - P(x,y') - P(x',y)] / [sum of the four]; a sum
-    at or below ``floor`` is degenerate."""
+    at or below ``floor`` is degenerate: an error for one fringe, NaN in the
+    rows of a batch of fringes (arrays of probabilities)."""
     direct, both, cross_y, cross_x = four
     denom = direct + both + cross_y + cross_x
-    if denom <= floor:
+    if isinstance(denom, np.ndarray):
+        denom = np.where(denom > floor, denom, np.nan)
+    elif denom <= floor:
         raise DegenerateFringeError(f"vanishing coincidence rate at settings ({x}, {y})")
     return (direct + both - cross_y - cross_x) / denom
 
@@ -188,34 +192,39 @@ class MaskSearchResult:
             json.dump(self.to_dict(), fh, indent=2)
 
 
-def _mask_from_boundaries(phi, boundaries):
-    """Sorted boundary angles taken pairwise as sectors; None when the
-    geometry degenerates (coincident boundaries or full/empty coverage)."""
-    b = np.sort(np.mod(np.asarray(boundaries, dtype=float), TWO_PI))
-    sectors = []
-    for a, c in zip(b[0::2], b[1::2]):
-        if c - a < 1e-9:
-            return None
-        sectors.append((float(a), float(c)))
-    total = sum(c - a for a, c in sectors)
-    if not 1e-9 < total < TWO_PI - 1e-9:
-        return None
-    return BinarySectors(phi, tuple(sectors))
+def _sectors(boundaries):
+    """Sorted boundary angles in [0, 2*pi], taken pairwise as sectors:
+    (starts, ends), each of shape (..., k)."""
+    b = np.sort(np.mod(boundaries, TWO_PI), axis=-1)
+    return b[..., 0::2], b[..., 1::2]
 
 
-def _mask_objective(phi, boundaries, settings):
-    mask = _mask_from_boundaries(phi, boundaries)
-    if mask is None:
-        return -math.inf, None
-    try:
-        return evaluate_mask(mask, settings).s, mask
-    except DegenerateFringeError:
-        return -math.inf, mask
+def _mask_scorer(phi, settings):
+    """S of each row of a (B, 2k) batch of boundary vectors, one fringe table
+    per batch at the settings' relative angles; a row whose geometry
+    degenerates (coincident boundaries, full or empty coverage) or whose
+    fringe vanishes at a setting pair scores -inf."""
+    pairs, perp = settings.pairs(), settings.perp_offset
+    # the identity fringe hands back the wrapped relative angles _chsh asks for
+    deltas = sorted({d for x, y in pairs
+                     for d in _four_probabilities(lambda d: d, wrap_angle, x, y, perp)})
+    column = {d: i for i, d in enumerate(deltas)}
+
+    def score(boundaries):
+        starts, ends = _sectors(boundaries)
+        widths = ends - starts
+        total = widths.sum(axis=-1)
+        valid = (widths >= 1e-9).all(axis=-1) & (1e-9 < total) & (total < TWO_PI - 1e-9)
+        table = binary_mask_probabilities(phi, starts, widths, deltas)
+        s = _chsh(lambda d: table[:, column[d]], wrap_angle, pairs, perp, _FLOAT_FLOOR)[0]
+        return np.where(valid & ~np.isnan(s), s, -math.inf)
+
+    return score
 
 
 def evaluate_mask(mask: BinarySectors, settings: BellSettings = SPIRAL_SETTINGS) -> BellResult:
     """Bell parameter of a given mask's coincidence fringe."""
-    return chsh_s(binary_mask_fringe(mask), settings, fringe_id="binary-mask")
+    return chsh_s(lambda d: closed_form_probability(mask, d), settings, fringe_id="binary-mask")
 
 
 def search_max_s(sector_count: int, phi: float,
@@ -225,57 +234,66 @@ def search_max_s(sector_count: int, phi: float,
     """Maximize the Bell parameter over binary sector masks by multi-start
     coordinate descent on the 2*sector_count boundary angles.
 
-    Deterministic for a fixed seed; with ``budget`` = 0 the initial mask is
-    evaluated without any search. Returns the best mask found together with
-    the (evaluation, best-S) trace; convergence is not guaranteed.
+    Deterministic for a fixed seed; with ``budget`` = 0 the initial mask,
+    which must carry the search's phi, is evaluated without any search.
+    Returns the best mask found together with the (evaluation, best-S)
+    trace; convergence is not guaranteed.
     """
     if sector_count < 1:
         raise ValueError("sector_count must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if init_mask is not None and init_mask.phi != phi:
+        raise ValueError(f"the initial mask has phi {init_mask.phi!r}, the search phi {phi!r}")
 
+    score = _mask_scorer(phi, settings)
     n_params = 2 * sector_count
     trace = []
     evals = 0
     best_s, best_key, best_mask, best_x = -math.inf, None, None, None
 
-    def consider(s, mask, x):
+    def consider(s, x, mask=None):
         nonlocal best_s, best_key, best_mask, best_x
-        if mask is None:
+        if s == -math.inf:
             return
-        key = tuple(mask.sectors)
+        if mask is None:
+            starts, ends = _sectors(x)
+            mask = BinarySectors(phi, tuple(zip(starts.tolist(), ends.tolist())))
+        key = mask.sectors
         if s > best_s or (s == best_s and (best_key is None or key < best_key)):
-            best_s, best_key, best_mask, best_x = s, key, mask, np.asarray(x, dtype=float)
+            best_s, best_key, best_mask, best_x = s, key, mask, x
             trace.append((evals, s))
 
     def descend(x, s_cur, max_evals, initial_step=math.pi / 4):
+        """Coordinate descent that scores the (coordinate, +/-) trials a sweep
+        has left as one batch. Only the trials up to the first improvement
+        count, as one trial at a time would have made them; the sweep then
+        goes on from the next coordinate of the moved point."""
         nonlocal evals
-        used = 0
-        step = initial_step
-        while used < max_evals and step > 1e-12:
-            improved = False
-            for i in range(len(x)):
-                for direction in (1.0, -1.0):
-                    if used >= max_evals:
-                        return
-                    trial = x.copy()
-                    trial[i] += direction * step
-                    s_new, mask = _mask_objective(phi, trial, settings)
-                    used += 1
-                    evals += 1
-                    if s_new > s_cur:
-                        x, s_cur = trial, s_new
-                        consider(s_new, mask, trial)
-                        improved = True
-                        break
-            if not improved:
-                step *= 0.5
+        stop, step, first, improved = evals + max_evals, initial_step, 0, False
+        coords, signs = np.repeat(np.arange(len(x)), 2), np.tile([1.0, -1.0], len(x))
+        while evals < stop and step > 1e-12:
+            left = coords[2 * first:][:stop - evals]
+            trials = np.repeat(x[None, :], left.size, axis=0)
+            trials[np.arange(left.size), left] += signs[:left.size] * step
+            s_new = score(trials)
+            better = np.flatnonzero(s_new > s_cur)
+            row = int(better[0]) if better.size else left.size - 1
+            evals += row + 1
+            first = int(left[row]) + 1
+            if better.size:
+                x, s_cur, improved = trials[row], float(s_new[row]), True
+                consider(s_cur, x)
+            if first == len(x):  # the sweep is over
+                if not improved:
+                    step *= 0.5
+                first, improved = 0, False
 
     if init_mask is not None:
-        x0 = [v for ab in init_mask.sectors for v in ab]
-        s0, _ = _mask_objective(phi, x0, settings)
+        x0 = np.array([v for ab in init_mask.sectors for v in ab])
+        s0 = float(score(x0[None, :])[0])
         evals += 1
-        consider(s0, init_mask, x0)
+        consider(s0, x0, init_mask)
         if budget == 0:
             return MaskSearchResult(init_mask, s0, tuple(trace), settings)
 
@@ -291,13 +309,13 @@ def search_max_s(sector_count: int, phi: float,
             break
         rng = np.random.default_rng(seed * 7919 + start)
         x = np.sort(rng.uniform(0.0, TWO_PI, size=n_params))
-        s_cur, mask = _mask_objective(phi, x, settings)
+        s_cur = float(score(x[None, :])[0])
         evals += 1
-        consider(s_cur, mask, x)
+        consider(s_cur, x)
         descend(x, s_cur, min(per_start, budget - evals))
 
     if best_mask is None:
         raise DegenerateFringeError("search found no non-degenerate mask")
-    if evals < budget and best_x is not None:
-        descend(best_x.copy(), best_s, budget - evals, initial_step=math.pi / 8)
+    if evals < budget:
+        descend(best_x, best_s, budget - evals, initial_step=math.pi / 8)
     return MaskSearchResult(best_mask, best_s, tuple(trace), settings)

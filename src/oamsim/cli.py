@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--settings", choices=["auto", "spiral", "polarization"], default="spiral")
-    p.add_argument("--init", help="initial mask JSON (evaluated as-is when budget is 0)")
+    p.add_argument("--init", help="initial mask JSON of phi --phi (evaluated as-is at budget 0)")
     p.add_argument("--out", default="mask.json")
     p.set_defaults(func=cmd_search)
 

@@ -148,7 +148,8 @@ def standard_sweep(grid: AngularGrid | None = None):
     for phi in (math.pi / 3, 2 * math.pi / 3, math.pi / 2, math.pi):
         for alpha in (0.5, -2.0, math.pi / 2, math.pi):
             reports.append(verify_overlap(Step(phi), alpha, grid=grid))
-    mask = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)))
+    # gaps under 1 rad, so a sector table that merged across them would show
+    mask = BinarySectors(math.pi, ((0.0, math.pi / 4), (math.pi / 2, 3 * math.pi / 4)))
     for alpha in (0.5, math.pi / 4, math.pi):
         reports.append(verify_overlap(mask, alpha, grid=grid))
     reports.append(verify_bell(Spiral(0.5), grid=grid))

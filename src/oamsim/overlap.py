@@ -3,7 +3,9 @@ sampled-curve table that both these laws and the coincidence fringes use.
 
 Each function returns the overlap between a plate-generated basis state and
 the same state with its edge rotated, as derived analytically; the
-oracle module re-derives every value by angular quadrature.
+oracle module re-derives every value by angular quadrature. A binary mask's
+overlap follows from the set covariogram of its sectors, computed in numpy
+for whole batches of masks and, on Fractions of pi, exactly.
 
 For the step plate the printed amplitude 1 + (alpha/pi)(cos(phi) - 1) only
 stays inside the unit disk for alpha >= 0; the first-principles integral is
@@ -18,15 +20,10 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .angular import TWO_PI, AngularGrid, wrap_angle
-from .plates import (
-    BinarySectors,
-    PhasePlate,
-    Spiral,
-    Step,
-    circle_wrap,
-    wrap_intervals,
-)
+from .plates import BinarySectors, PhasePlate, Spiral, Step
 
 
 def spiral_overlap_amplitude(n: int, lam: float, alpha: float) -> complex:
@@ -59,79 +56,71 @@ def step_overlap_probability(phi: float, alpha: float) -> float:
     return step_overlap_amplitude(phi, alpha) ** 2
 
 
-def _union_measure_overlap(first, second):
-    """Total measure of the intersection of two disjoint-interval unions."""
-    total = 0
-    for a0, b0 in first:
-        for a1, b1 in second:
-            lo, hi = max(a0, a1), min(b0, b1)
-            if hi > lo:
-                total += hi - lo
-    return total
+def covariogram(starts, widths, deltas, period=TWO_PI):
+    """Set covariogram |M & (M + delta)| of the union M of the disjoint arcs
+    [starts_i, starts_i + widths_i) on a circle of the given period, at each
+    delta: floats in radians with period 2*pi, or Fractions of pi (object
+    arrays) with period 2.
 
-
-def _displacement(sectors, alpha, period=TWO_PI):
-    """m(delta) = measure(M \\ (M + delta)) for the region M that the sectors
-    rotated by alpha cover, in the units of ``period``: 2*pi for float
-    radians, 2 for Fractions of pi.
-
-    m is |M| minus the set covariogram |M & (M + delta)|. M's intervals and
-    measure are built once; each rotated copy comes straight from the
-    sectors, with no plate rebuilt or re-validated.
+    Each pair of arcs contributes L(t) + L(t - P), with
+    t = (a_j - a_i + delta) mod P and L(s) = max(0, min(u, s + v) - max(0, s))
+    the overlap of [0, u) with [s, s + v). Rows of (..., k) starts and widths
+    give (..., D) values for D deltas. The pairs are added one after another,
+    so a mask's value does not depend on the batch it comes in. Rotating M
+    changes nothing, so the pattern's own rotation never enters.
     """
-    wrap = circle_wrap(period)
-    base = wrap_intervals([(a + alpha, b + alpha) for a, b in sectors], period)
-    size = sum(b - a for a, b in base)
+    a, u = np.asarray(starts), np.asarray(widths)
+    u_i, v_j = u[..., :, None, None], u[..., None, :, None]
+    t = np.mod(a[..., None, :, None] - a[..., :, None, None] + np.asarray(deltas), period)
 
-    def displaced(delta):
-        rot = wrap(alpha + delta)
-        rotated = wrap_intervals([(a + rot, b + rot) for a, b in sectors], period)
-        return size - _union_measure_overlap(base, rotated)
+    def overlap(s):
+        return np.maximum(0, np.minimum(u_i, s + v_j) - np.maximum(0, s))
 
-    return displaced
+    pairs = overlap(t) + overlap(t - period)
+    pairs = pairs.reshape(pairs.shape[:-3] + (-1, pairs.shape[-1]))
+    return np.add.accumulate(pairs, axis=-2)[..., -1, :]
+
+
+def _arcs(sectors):
+    """Start and width arrays of a sector list."""
+    return np.array([a for a, _ in sectors]), np.array([b - a for a, b in sectors])
+
+
+def _displaced(starts, widths, deltas, period=TWO_PI):
+    """m(delta) = measure(M \\ (M + delta)) = C(0) - C(delta) for the
+    covariogram C of each row's arcs, in the units of ``period``."""
+    c = covariogram(starts, widths, (0, *deltas), period)
+    return c[..., :1] - c[..., 1:]
 
 
 def displaced_measure(mask, alpha: float) -> float:
     """measure(M \\ (M + alpha)) for the mask's delayed region M."""
-    return _displacement(mask.sectors, mask.alpha)(alpha)
+    return float(_displaced(*_arcs(mask.sectors), (alpha,))[0])
 
 
-def _mask_amplitude(m, phi) -> complex:
-    return complex(1.0 - (m / math.pi) * (1.0 - math.cos(phi)))
+def _mask_amplitude(m, phi):
+    return 1.0 - (m / math.pi) * (1.0 - math.cos(phi))
 
 
 def binary_mask_overlap(mask, alpha: float) -> complex:
     """Overlap between a binary-mask state and its rotation by alpha:
     1 - (m/pi)(1 - cos(phi)) with m = measure(M \\ (M+alpha))."""
-    return _mask_amplitude(displaced_measure(mask, alpha), mask.phi)
+    return complex(_mask_amplitude(displaced_measure(mask, alpha), mask.phi))
 
 
-def binary_mask_fringe(mask):
-    """The mask's coincidence fringe delta -> |binary_mask_overlap(mask, d)|^2,
-    d = delta mod 2*pi, with the mask's geometry built once.
-
-    Values are memoised per d: the CHSH settings ask for 16 relative angles
-    but only 8 (spiral) or 10 (polarization) distinct ones.
-    """
-    displaced = _displacement(mask.sectors, mask.alpha)
-    memo = {}
-
-    def fringe(delta: float) -> float:
-        d = wrap_angle(delta)
-        p = memo.get(d)
-        if p is None:
-            p = memo[d] = abs(_mask_amplitude(displaced(d), mask.phi)) ** 2
-        return p
-
-    return fringe
+def binary_mask_probabilities(phi, starts, widths, deltas):
+    """|binary_mask_overlap|^2 at each delta for each row of (..., k) arc
+    starts and widths: the fringes of a batch of masks, shape (..., D)."""
+    amplitude = _mask_amplitude(_displaced(starts, widths, deltas), phi)
+    return amplitude * amplitude
 
 
 def binary_mask_fringe_exact(sectors):
     """Exact fringe t -> (1 - 2m)^2 of a phi = pi mask whose sectors are
     Fractions of pi, with m = measure(M \\ (M + t*pi)) / pi: the overlap
     1 - (m/pi)(1 - cos(phi)) at phi = pi."""
-    displaced = _displacement(sectors, 0, period=2)
-    return lambda t: (1 - 2 * displaced(t % 2)) ** 2
+    starts, widths = _arcs(sectors)
+    return lambda t: (1 - 2 * _displaced(starts, widths, (t,), 2)[0]) ** 2
 
 
 def closed_form_probability(plate, alpha: float) -> float:
@@ -142,7 +131,7 @@ def closed_form_probability(plate, alpha: float) -> float:
     if isinstance(plate, Step):
         return step_overlap_probability(plate.phi, alpha)
     if isinstance(plate, BinarySectors):
-        return abs(binary_mask_overlap(plate, alpha)) ** 2
+        return float(binary_mask_probabilities(plate.phi, *_arcs(plate.sectors), (alpha,))[0])
     raise TypeError(f"unknown plate {type(plate).__name__}")
 
 

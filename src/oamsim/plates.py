@@ -100,32 +100,23 @@ def sector_intervals(plate) -> list:
     return wrap_intervals(raw)
 
 
-def circle_wrap(period=TWO_PI):
-    """Reduction of an angle into [0, period): ``wrap_angle`` for float
-    radians (period 2*pi), exact ``%`` for Fractions of pi (period 2)."""
-    return wrap_angle if period == TWO_PI else (lambda t: t % period)
-
-
-def wrap_intervals(raw, period=TWO_PI) -> list:
-    """Disjoint sorted intervals of [0, period) covering the (a, b) pairs,
-    each shorter than a period: a start reduced into [0, period) and an end
-    past the period wrapped round to 0. Touching intervals merge, across a
-    1e-15 gap on the float path."""
-    wrap = circle_wrap(period)
-    zero, gap = (0.0, 1e-15) if period == TWO_PI else (0, 0)
+def wrap_intervals(raw) -> list:
+    """Disjoint sorted intervals of [0, 2*pi) covering the (a, b) pairs,
+    each shorter than a turn: a start wrapped into [0, 2*pi) and an end past
+    2*pi wrapped round to 0. Intervals touching across a 1e-15 gap merge."""
     out = []
     for a, b in raw:
-        a, width = wrap(a), b - a
-        if a + width <= period:
+        a, width = wrap_angle(a), b - a
+        if a + width <= TWO_PI:
             out.append((a, a + width))
         else:
-            out.append((a, period))
-            out.append((zero, a + width - period))
+            out.append((a, TWO_PI))
+            out.append((0.0, a + width - TWO_PI))
     out.sort()
     # rotation can make a wrapped tail touch the following interval
     merged = [out[0]]
     for a, b in out[1:]:
-        if a <= merged[-1][1] + gap:
+        if a <= merged[-1][1] + 1e-15:
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:
             merged.append((a, b))

@@ -3,8 +3,11 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from oamsim import bell
+from oamsim.angular import TWO_PI
 from oamsim.bell import (
     POLARIZATION_SETTINGS,
     POLARIZATION_SETTINGS_PI,
@@ -129,6 +132,79 @@ def test_search_budget_zero_evaluates_initial_mask():
     result = search_max_s(1, math.pi, settings=POLARIZATION_SETTINGS, budget=0, init_mask=mask)
     assert result.mask == mask
     assert result.s == pytest.approx(3.2, abs=1e-12)
+
+
+def test_search_rejects_an_initial_mask_of_another_phi():
+    # the search would score the quarter mask at its own phi = pi, S = 4,
+    # and hand it back with phi = pi/2, where its S is 1.54
+    quarter = BinarySectors(math.pi / 2, ((0.0, math.pi / 2),))
+    assert evaluate_mask(quarter).s == pytest.approx(1.538, abs=1e-3)
+    with pytest.raises(ValueError, match="phi"):
+        search_max_s(1, math.pi, budget=0, init_mask=quarter)
+    assert search_max_s(1, math.pi / 2, budget=0, init_mask=quarter).s == evaluate_mask(quarter).s
+
+
+def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed):
+    """search_max_s with every trial scored alone, in the order a sweep
+    visits them: the reference the batched descent must reproduce."""
+    score = bell._mask_scorer(phi, settings)
+    evals, trace, best = 0, [], {"s": -math.inf, "key": None, "x": None}
+
+    def objective(x):
+        nonlocal evals
+        evals += 1
+        return float(score(x[None, :])[0])
+
+    def consider(s, x):
+        b = np.sort(np.mod(x, TWO_PI))
+        key = tuple(zip(b[0::2].tolist(), b[1::2].tolist()))
+        if s > best["s"] or (s == best["s"] > -math.inf and key < best["key"]):
+            best.update(s=s, key=key, x=x.copy())
+            trace.append((evals, s))
+
+    def descend(x, s_cur, max_evals, step):
+        used = 0
+        while used < max_evals and step > 1e-12:
+            improved = False
+            for i in range(len(x)):
+                for sign in (1.0, -1.0):
+                    if used >= max_evals:
+                        return
+                    trial = x.copy()
+                    trial[i] += sign * step
+                    s_new = objective(trial)
+                    used += 1
+                    if s_new > s_cur:
+                        x, s_cur, improved = trial, s_new, True
+                        consider(s_new, trial)
+                        break
+            if not improved:
+                step *= 0.5
+
+    explore = budget // 2
+    for start in range(bell._N_STARTS):
+        if evals >= explore:
+            break
+        rng = np.random.default_rng(seed * 7919 + start)
+        x = np.sort(rng.uniform(0.0, TWO_PI, size=2 * sector_count))
+        s = objective(x)
+        consider(s, x)
+        descend(x, s, min(max(explore // bell._N_STARTS, 1), budget - evals), math.pi / 4)
+    if evals < budget:
+        descend(best["x"].copy(), best["s"], budget - evals, math.pi / 8)
+    return BinarySectors(phi, best["key"]), best["s"], tuple(trace)
+
+
+@pytest.mark.parametrize("settings", [SPIRAL_SETTINGS, POLARIZATION_SETTINGS],
+                         ids=["spiral", "polarization"])
+@pytest.mark.parametrize("sector_count", [1, 2, 3, 4])
+def test_batched_descent_makes_the_decisions_of_one_trial_at_a_time(sector_count, settings):
+    # budgets that are no multiple of a sweep's trials run out inside one
+    for seed, budget in ((0, 301), (4, 1203)):
+        result = search_max_s(sector_count, math.pi, settings, budget=budget, seed=seed)
+        mask, s, trace = _search_one_trial_at_a_time(sector_count, math.pi, settings, budget, seed)
+        assert (result.mask, result.s, result.trace) == (mask, s, trace)
+        assert result.trace[-1][0] <= budget
 
 
 def test_search_is_deterministic():

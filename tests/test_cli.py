@@ -307,6 +307,8 @@ def test_exit_code_io_failure(tmp_path):
     {"type": "spiral", "ell": 0.5},
     {"type": "step", "phi": math.pi},
     [0.0, 1.0],
+    # a mask whose phi is not the search's --phi (pi)
+    {"type": "binary", "phi": math.pi / 2, "sectors": [[0.0, math.pi / 2]], "alpha": 0.0},
 ])
 def test_search_init_rejects_malformed_mask(tmp_path, capsys, doc):
     init = tmp_path / "init.json"

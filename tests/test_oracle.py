@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from oamsim import oracle, overlap, plates
+from oamsim import oracle, overlap
 from oamsim.angular import TWO_PI, AngularGrid
 from oamsim.bell import POLARIZATION_SETTINGS
 from oamsim.lgfield import radial_overlaps
@@ -62,27 +62,26 @@ def test_verify_overlap_mask_straddling_zero():
 
 
 def _merge_across_one_radian(original):
-    def mutant(raw, period=TWO_PI):
+    def mutant(sectors, *args):
         merged = []
-        for a, b in original(raw, period):
+        for a, b in sorted(sectors):
             if merged and a <= merged[-1][1] + 1.0:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:
                 merged.append((a, b))
-        return merged
+        return original(merged, *args)
     return mutant
 
 
 def test_oracle_catches_a_wrong_interval_table(monkeypatch):
-    # the mutant replaces wrap_intervals wherever the program looks it up,
-    # as an edit to the function would; an oracle that sampled its states
-    # through the same intervals would agree with the wrong closed form
-    mutant = _merge_across_one_radian(plates.wrap_intervals)
-    monkeypatch.setattr(plates, "wrap_intervals", mutant)
-    monkeypatch.setattr(overlap, "wrap_intervals", mutant)
+    # the mutant replaces the sector list the covariogram reads, as an edit
+    # to overlap._arcs would; an oracle that sampled its states through the
+    # same list would agree with the wrong closed form
+    monkeypatch.setattr(overlap, "_arcs", _merge_across_one_radian(overlap._arcs))
     mask = BinarySectors(math.pi, ((0.0, math.pi / 4), (math.pi / 2, 3 * math.pi / 4)))
     for alpha in (math.pi / 4, math.pi / 2, math.pi, 3 * math.pi / 2):
         assert not verify_overlap(mask, alpha).passed, alpha
+    assert not all(report.passed for report in standard_sweep())
 
 
 @pytest.mark.parametrize("ell", [2.5e15, 1e12 + 0.25, -1e300])
@@ -178,5 +177,5 @@ def test_oracle_does_not_import_lgfield():
 def test_oracle_does_not_import_the_closed_form_machinery():
     # the oracle may import the laws it checks, never what builds them
     machinery = {"_pieces", "profile", "sector_intervals", "wrap_intervals", "plate_state",
-                 "inner_product", "ClosedForm"}
+                 "inner_product", "ClosedForm", "covariogram", "_arcs"}
     assert not machinery & _oracle_imports()

@@ -3,12 +3,14 @@
 import cmath
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oamsim import bell
 from oamsim.angular import TWO_PI, inner_product, wrap_angle
 from oamsim.bell import (
     POLARIZATION_SETTINGS,
@@ -18,9 +20,10 @@ from oamsim.bell import (
     evaluate_mask,
 )
 from oamsim.overlap import (
-    binary_mask_fringe,
     binary_mask_overlap,
+    binary_mask_probabilities,
     closed_form_probability,
+    covariogram,
     displaced_measure,
     sample_curve,
     spiral_overlap_amplitude,
@@ -155,29 +158,65 @@ def test_displaced_measure_is_even(mask, delta):
         displaced_measure(mask, TWO_PI - delta), abs=1e-12)
 
 
+# four eighths a quarter turn apart: at phi = pi their fringe vanishes at
+# every odd multiple of pi/8 and of pi/4, so every setting pair of both
+# setting families is degenerate
+_DEGENERATE_MASK = BinarySectors(
+    math.pi, tuple((j * math.pi / 2, j * math.pi / 2 + math.pi / 8) for j in range(4)))
+
+
 @settings(max_examples=50, deadline=None)
 @given(mask=_wrapping_masks())
+@example(mask=_DEGENERATE_MASK)
 def test_mask_fringe_closure_equals_fringe_probability(mask):
-    # the per-mask closure memoises by wrapped angle; it must give the very
-    # floats of the uncached fringe law, at every setting pair
+    # the search scores its mask in batches; each row must give the very
+    # float of the one-mask fringe law at every setting pair, -inf where that
+    # law is degenerate, and -inf for a row whose boundaries coincide
+    row = [v for sector in mask.sectors for v in sector]
+    batch = np.array([row, row])
+    batch[1, 1] = batch[1, 0]  # a sector of zero width
     for bell_settings in (SPIRAL_SETTINGS, POLARIZATION_SETTINGS):
+        score = bell._mask_scorer(mask.phi, bell_settings)
+        with np.errstate(divide="raise", invalid="raise"):
+            scores = score(batch)
+            alone = score(batch[:1])
+        assert scores[1] == -math.inf
+        assert alone[0] == scores[0]
         try:
             direct = chsh_s(lambda d: fringe_probability(mask, d), bell_settings)
         except DegenerateFringeError:
+            assert scores[0] == -math.inf
             with pytest.raises(DegenerateFringeError):
                 evaluate_mask(mask, bell_settings)
             continue
-        closure = evaluate_mask(mask, bell_settings)
-        assert closure.s == direct.s
-        assert closure.p == direct.p
+        assert scores[0] == direct.s
+        result = evaluate_mask(mask, bell_settings)
+        assert result.s == direct.s
+        assert result.p == direct.p
 
 
 def test_mask_fringe_wraps_its_angle():
     mask = BinarySectors(math.pi, ((0.5, 2.0), (3.0, 4.0)), 1.0)
-    fringe = binary_mask_fringe(mask)
-    for delta in (-1.0, 0.0, 2.5, TWO_PI + 2.5):
-        assert fringe(delta) == fringe_probability(mask, delta)
-        assert fringe(delta) == fringe(delta)  # a memoised value
+    starts, widths = np.array([0.5, 3.0]), np.array([1.5, 1.0])
+    deltas = (-1.0, 0.0, 2.5, TWO_PI + 2.5)
+    fringe = binary_mask_probabilities(mask.phi, starts, widths, deltas)
+    for delta, p in zip(deltas, fringe):
+        assert p == fringe_probability(mask, delta)
+
+
+def test_covariogram_serves_floats_and_fractions():
+    # one covariogram, two number types: on Fractions of pi with period 2 it
+    # gives the exact value, the float path in radians the same to rounding
+    sectors = ((Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 2)))
+    starts = np.array([a for a, _ in sectors])
+    widths = np.array([b - a for a, b in sectors])
+    deltas = [Fraction(k, 16) for k in range(-3, 40)]
+    exact = covariogram(starts, widths, deltas, 2)
+    assert all(isinstance(c, Fraction) for c in exact)
+    floats = covariogram(starts.astype(float) * math.pi, widths.astype(float) * math.pi,
+                         [float(d) * math.pi for d in deltas])
+    np.testing.assert_allclose(floats, exact.astype(float) * math.pi, rtol=0, atol=1e-14)
+    assert exact[3] == Fraction(5, 4)  # delta = 0: the mask's own measure
 
 
 def test_binary_mask_overlap_matches_direct():
