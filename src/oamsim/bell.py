@@ -7,6 +7,13 @@ fringes, and exact rational arithmetic (angles as fractions of pi) for the
 parabolic fringes, where S = 16/5 holds exactly and tolerances would only
 mask sign errors. Its arithmetic is elementwise, so the mask search feeds
 it numpy arrays and scores a whole batch of masks in one pass.
+
+The search's random starts descend in lockstep: each step scores the trials
+every unfinished start has left in one batch, which the covariogram takes
+in blocks of bounded size. The starts' improvements are then replayed in
+start order at the evaluation counts a one-start-at-a-time loop would have
+reached, so the trace, the tie-breaks and the cut-off of the exploration
+half are that loop's; a start the loop would never reach is discarded.
 """
 
 from __future__ import annotations
@@ -227,6 +234,45 @@ def evaluate_mask(mask: BinarySectors, settings: BellSettings = SPIRAL_SETTINGS)
     return chsh_s(lambda d: closed_form_probability(mask, d), settings, fringe_id="binary-mask")
 
 
+def _descend(score, x, s, max_evals, step):
+    """Coordinate descent of every row of x, (B, n) boundary vectors scoring
+    s, in lockstep: each round scores, in one batch, the (coordinate, +/-)
+    trials that each active row's sweep has left. Per row, only the trials
+    up to its first improvement count, as one trial at a time would have
+    made them; the row's sweep then goes on from the next coordinate of the
+    moved point. A row stops after max_evals trials or once its step falls
+    to 1e-12. Returns each row's trial count and its improvements as
+    (trials so far, S, x) lists; the trials of a row form a prefix of those
+    any larger max_evals would give."""
+    n_rows, n = x.shape
+    x, s, step = x.copy(), np.array(s, dtype=float), np.full(n_rows, step)
+    first, used = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int)
+    improved = np.zeros(n_rows, dtype=bool)
+    events = [[] for _ in range(n_rows)]
+    while (active := np.flatnonzero((used < max_evals) & (step > 1e-12))).size:
+        counts = np.minimum(2 * (n - first[active]), max_evals - used[active])
+        begins = np.cumsum(counts) - counts
+        row = np.repeat(active, counts)
+        offset = np.arange(row.size) - np.repeat(begins, counts)
+        slot = 2 * first[row] + offset  # 2 * coordinate + (0 for +, 1 for -)
+        trials = x[row]
+        trials[np.arange(row.size), slot // 2] += (1 - 2 * (slot % 2)) * step[row]
+        s_new = score(trials)
+        hit = np.minimum.reduceat(np.where(s_new > s[row], offset, 2 * n), begins)
+        found = hit < counts
+        last = begins + np.where(found, hit, counts - 1)
+        used[active] += last - begins + 1
+        first[active] = slot[last] // 2 + 1
+        moved, rows_moved = active[found], last[found]
+        x[moved], s[moved], improved[moved] = trials[rows_moved], s_new[rows_moved], True
+        for i, j in zip(moved.tolist(), rows_moved.tolist()):
+            events[i].append((int(used[i]), float(s_new[j]), trials[j].copy()))
+        swept = active[first[active] == n]
+        step[swept[~improved[swept]]] *= 0.5
+        first[swept], improved[swept] = 0, False
+    return used, events
+
+
 def search_max_s(sector_count: int, phi: float,
                  settings: BellSettings = SPIRAL_SETTINGS,
                  budget: int = 20000, seed: int = 0,
@@ -247,47 +293,33 @@ def search_max_s(sector_count: int, phi: float,
         raise ValueError(f"the initial mask has phi {init_mask.phi!r}, the search phi {phi!r}")
 
     score = _mask_scorer(phi, settings)
-    n_params = 2 * sector_count
     trace = []
     evals = 0
     best_s, best_key, best_mask, best_x = -math.inf, None, None, None
 
     def consider(s, x, mask=None):
         nonlocal best_s, best_key, best_mask, best_x
-        if s == -math.inf:
+        if s == -math.inf or s < best_s:
             return
         if mask is None:
             starts, ends = _sectors(x)
             mask = BinarySectors(phi, tuple(zip(starts.tolist(), ends.tolist())))
         key = mask.sectors
-        if s > best_s or (s == best_s and (best_key is None or key < best_key)):
+        if s > best_s or best_key is None or key < best_key:
             best_s, best_key, best_mask, best_x = s, key, mask, x
             trace.append((evals, s))
 
-    def descend(x, s_cur, max_evals, initial_step=math.pi / 4):
-        """Coordinate descent that scores the (coordinate, +/-) trials a sweep
-        has left as one batch. Only the trials up to the first improvement
-        count, as one trial at a time would have made them; the sweep then
-        goes on from the next coordinate of the moved point."""
+    def replay(used, events, cap):
+        """Offer a descent's improvements within its first ``cap`` trials to
+        consider at their evaluation counts, then count the trials made."""
         nonlocal evals
-        stop, step, first, improved = evals + max_evals, initial_step, 0, False
-        coords, signs = np.repeat(np.arange(len(x)), 2), np.tile([1.0, -1.0], len(x))
-        while evals < stop and step > 1e-12:
-            left = coords[2 * first:][:stop - evals]
-            trials = np.repeat(x[None, :], left.size, axis=0)
-            trials[np.arange(left.size), left] += signs[:left.size] * step
-            s_new = score(trials)
-            better = np.flatnonzero(s_new > s_cur)
-            row = int(better[0]) if better.size else left.size - 1
-            evals += row + 1
-            first = int(left[row]) + 1
-            if better.size:
-                x, s_cur, improved = trials[row], float(s_new[row]), True
-                consider(s_cur, x)
-            if first == len(x):  # the sweep is over
-                if not improved:
-                    step *= 0.5
-                first, improved = 0, False
+        offset = evals
+        for trials, s, x in events:
+            if trials > cap:
+                break
+            evals = offset + trials
+            consider(s, x)
+        evals = offset + min(used, cap)
 
     if init_mask is not None:
         x0 = np.array([v for ab in init_mask.sectors for v in ab])
@@ -300,22 +332,31 @@ def search_max_s(sector_count: int, phi: float,
     if budget == 0:
         raise ValueError("budget 0 requires an initial mask to evaluate")
 
-    # half the budget explores from random starts, the other half polishes
-    # the best point found with a fresh full-size step schedule
-    explore = budget // 2
+    # half the budget, and at least the first start, explores from random
+    # starts; the other half polishes the best point found with a fresh
+    # full-size step schedule
+    explore = max(budget // 2, 1)
     per_start = max(explore // _N_STARTS, 1)
-    for start in range(_N_STARTS):
-        if evals >= explore:
-            break
-        rng = np.random.default_rng(seed * 7919 + start)
-        x = np.sort(rng.uniform(0.0, TWO_PI, size=n_params))
-        s_cur = float(score(x[None, :])[0])
-        evals += 1
-        consider(s_cur, x)
-        descend(x, s_cur, min(per_start, budget - evals))
+    # the starts descend in lockstep; each takes at least one evaluation,
+    # so no more than explore - evals of them can be reached
+    n_starts = min(_N_STARTS, explore - evals)
+    if n_starts > 0:
+        x = np.array([np.sort(np.random.default_rng(seed * 7919 + start).uniform(
+            0.0, TWO_PI, size=2 * sector_count)) for start in range(n_starts)])
+        s = score(x)
+        used, events = _descend(score, x, s, per_start, math.pi / 4)
+        # replay the starts one after another, as a sequential loop would
+        # have run them: its evaluation counts, trace and cut-off at explore
+        for start in range(n_starts):
+            if evals >= explore:
+                break
+            evals += 1
+            consider(float(s[start]), x[start])
+            replay(int(used[start]), events[start], min(per_start, budget - evals))
 
     if best_mask is None:
         raise DegenerateFringeError("search found no non-degenerate mask")
     if evals < budget:
-        descend(best_x, best_s, budget - evals, initial_step=math.pi / 8)
+        used, events = _descend(score, best_x[None, :], [best_s], budget - evals, math.pi / 8)
+        replay(int(used[0]), events[0], budget - evals)
     return MaskSearchResult(best_mask, best_s, tuple(trace), settings)

@@ -19,11 +19,12 @@ from .angular import TWO_PI, NonIntegerOamState, wrap_angle
 from .overlap import (
     SampledCurve,
     binary_mask_overlap,
+    closed_form_probabilities,
     closed_form_probability,
     spiral_overlap_amplitude,
     step_overlap_amplitude,
 )
-from .plates import Spiral, Step
+from .plates import BinarySectors, Spiral, Step
 
 _HALF_INT_TOL = 1e-12
 
@@ -104,8 +105,9 @@ def coincidence_fringe(plate, n_samples: int) -> SampledCurve:
     is not half-integer raises UnsupportedAnalyzerError."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    samples = tuple(
-        (TWO_PI * k / n_samples, fringe_probability(plate, TWO_PI * k / n_samples))
-        for k in range(n_samples)
-    )
-    return SampledCurve(plate, samples, ("delta_rad", "coincidence_probability"))
+    deltas = [TWO_PI * k / n_samples for k in range(n_samples)]
+    if isinstance(plate, BinarySectors):
+        values = closed_form_probabilities(plate, [wrap_angle(d) for d in deltas])
+    else:
+        values = [fringe_probability(plate, d) for d in deltas]
+    return SampledCurve(plate, tuple(zip(deltas, values)), ("delta_rad", "coincidence_probability"))

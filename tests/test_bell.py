@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oamsim import bell
+from oamsim import bell, overlap
 from oamsim.angular import TWO_PI
 from oamsim.bell import (
     POLARIZATION_SETTINGS,
@@ -21,9 +21,9 @@ from oamsim.bell import (
     s4_certificate,
     search_max_s,
 )
-from oamsim.overlap import binary_mask_fringe_exact
+from oamsim.overlap import binary_mask_fringe_exact, sample_curve
 from oamsim.plates import BinarySectors, Spiral, Step
-from oamsim.twophoton import fringe_probability, fringe_probability_exact
+from oamsim.twophoton import coincidence_fringe, fringe_probability, fringe_probability_exact
 
 
 def _plate_fringe(plate):
@@ -144,9 +144,10 @@ def test_search_rejects_an_initial_mask_of_another_phi():
     assert search_max_s(1, math.pi / 2, budget=0, init_mask=quarter).s == evaluate_mask(quarter).s
 
 
-def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed):
-    """search_max_s with every trial scored alone, in the order a sweep
-    visits them: the reference the batched descent must reproduce."""
+def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_mask=None):
+    """search_max_s with the random starts run one after another and every
+    trial scored alone, in the order a sweep visits them: the reference the
+    lockstep descent and its replay must reproduce."""
     score = bell._mask_scorer(phi, settings)
     evals, trace, best = 0, [], {"s": -math.inf, "key": None, "x": None}
 
@@ -181,7 +182,10 @@ def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed):
             if not improved:
                 step *= 0.5
 
-    explore = budget // 2
+    if init_mask is not None:
+        x = np.array([v for ab in init_mask.sectors for v in ab])
+        consider(objective(x), x)
+    explore = max(budget // 2, 1)
     for start in range(bell._N_STARTS):
         if evals >= explore:
             break
@@ -195,16 +199,63 @@ def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed):
     return BinarySectors(phi, best["key"]), best["s"], tuple(trace)
 
 
+def _assert_same_search(sector_count, phi, settings, budget, seed, init_mask=None):
+    result = search_max_s(sector_count, phi, settings, budget=budget, seed=seed,
+                          init_mask=init_mask)
+    reference = _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_mask)
+    assert (result.mask, result.s, result.trace) == reference
+    assert result.trace[-1][0] <= budget
+
+
 @pytest.mark.parametrize("settings", [SPIRAL_SETTINGS, POLARIZATION_SETTINGS],
                          ids=["spiral", "polarization"])
 @pytest.mark.parametrize("sector_count", [1, 2, 3, 4])
 def test_batched_descent_makes_the_decisions_of_one_trial_at_a_time(sector_count, settings):
-    # budgets that are no multiple of a sweep's trials run out inside one
-    for seed, budget in ((0, 301), (4, 1203)):
-        result = search_max_s(sector_count, math.pi, settings, budget=budget, seed=seed)
-        mask, s, trace = _search_one_trial_at_a_time(sector_count, math.pi, settings, budget, seed)
-        assert (result.mask, result.s, result.trace) == (mask, s, trace)
-        assert result.trace[-1][0] <= budget
+    # budgets that are no multiple of a sweep's trials run out inside one;
+    # at budgets 1-3 the first start alone explores, at 127 the starts
+    # take two evaluations each and the cut-off falls after start 31
+    for seed, budget in ((0, 301), (4, 1203), (1, 1), (2, 2), (3, 3), (5, 127)):
+        _assert_same_search(sector_count, math.pi, settings, budget, seed)
+
+
+@pytest.mark.parametrize("sector_count, phi, settings, budget, seed, init", [
+    # 15 trials a start: the cut-off at 1000 evaluations falls before start 64
+    (3, math.pi, SPIRAL_SETTINGS, 2000, 6, None),
+    (2, math.pi, POLARIZATION_SETTINGS, 301, 8, ((0.0, 1.0), (2.0, 3.5))),
+    (1, math.pi, SPIRAL_SETTINGS, 2, 0, ((0.0, math.pi / 3),)),
+    (3, math.pi / 2, SPIRAL_SETTINGS, 1203, 9, None),
+    (2, math.pi / 2, POLARIZATION_SETTINGS, 301, 10, None),
+    (2, math.pi, SPIRAL_SETTINGS, 20000, 11, None),
+], ids=["cut-off-before-last-start", "init-then-search", "init-then-polish",
+        "half-pi-spiral", "half-pi-polarization", "full-budget"])
+def test_lockstep_starts_replay_the_sequential_search(sector_count, phi, settings, budget,
+                                                      seed, init):
+    init_mask = None if init is None else BinarySectors(phi, init)
+    _assert_same_search(sector_count, phi, settings, budget, seed, init_mask)
+
+
+def test_budget_one_evaluates_the_first_start():
+    result = search_max_s(3, math.pi, budget=1, seed=0)
+    assert math.isfinite(result.s)
+    assert result.trace == ((1, result.s),)
+
+
+def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
+    # the largest inputs the CLI admits: 16 sectors, 100000 fringe samples
+    sizes = []
+    covariogram = overlap.covariogram
+
+    def checked(starts, widths, deltas, period=TWO_PI):
+        k = np.shape(starts)[-1]
+        sizes.append(np.size(starts) * k * len(deltas))
+        return covariogram(starts, widths, deltas, period)
+
+    monkeypatch.setattr(overlap, "covariogram", checked)
+    search_max_s(16, math.pi, budget=2000, seed=0)
+    mask = BinarySectors(math.pi, tuple((0.3 * i, 0.3 * i + 0.2) for i in range(16)))
+    coincidence_fringe(mask, 100000)
+    sample_curve(mask, 100000)
+    assert sizes and max(sizes) <= overlap._COVARIOGRAM_ELEMENTS
 
 
 def test_search_is_deterministic():

@@ -171,6 +171,15 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys, args):
     assert not out.exists()
 
 
+def test_search_budget_one_scores_the_first_start(tmp_path, capsys):
+    out = tmp_path / "mask.json"
+    assert main(["search", "--budget", "1", "--out", str(out)]) == 0
+    s = float(capsys.readouterr().out.strip())
+    doc = json.loads(out.read_text())
+    assert math.isfinite(s) and s == pytest.approx(doc["S"], abs=1e-11)
+    assert doc["trace"] == [[1, doc["S"]]]
+
+
 def test_search_budget_zero_with_init(tmp_path, capsys):
     init = tmp_path / "init.json"
     init.write_text(json.dumps(

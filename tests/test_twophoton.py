@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oamsim.angular import NonIntegerOamState
+from oamsim.overlap import closed_form_probability, sample_curve
 from oamsim.plates import BinarySectors, Spiral, Step
 from oamsim.twophoton import (
     UnsupportedAnalyzerError,
@@ -118,6 +119,19 @@ def test_coincidence_fringe_sampling(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "delta_rad,coincidence_probability"
     assert len(lines) == 37
+
+
+@pytest.mark.parametrize("sectors", [((0.3, 2.0), (3.0, 5.5)),
+                                     tuple((0.3 * i, 0.3 * i + 0.2) for i in range(16))],
+                         ids=["two", "sixteen"])
+def test_mask_fringe_samples_equal_their_single_angle_values(sectors):
+    # the batched samples cross several covariogram blocks for 16 sectors
+    mask = BinarySectors(math.pi / 2, sectors, alpha=1.0)
+    fringe = coincidence_fringe(mask, 1000)
+    assert all(p == fringe_probability(mask, d) for d, p in fringe.samples)
+    curve = sample_curve(mask, 1000)
+    assert all(p == closed_form_probability(mask, a) for a, p in curve.samples)
+    assert [a for a, _ in curve.samples] == [d for d, _ in fringe.samples]
 
 
 def test_coincidence_fringe_validation():
