@@ -6,7 +6,6 @@ far-field diffraction images."""
 from .angular import (
     AngularGrid,
     ClosedForm,
-    NonIntegerOamState,
     inner_product,
     integer_mode,
     norm,
@@ -33,12 +32,7 @@ from .overlap import (
     step_overlap_probability,
 )
 from .plates import BinarySectors, PhasePlate, Spiral, Step, plate_state
-from .twophoton import (
-    UnsupportedAnalyzerError,
-    coincidence_amplitude,
-    coincidence_fringe,
-    collapse_idler,
-)
+from .twophoton import UnsupportedAnalyzerError, coincidence_fringe
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

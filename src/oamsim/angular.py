@@ -19,9 +19,11 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Below this, a difference of angular frequencies nu is treated as exactly
-# zero when integrating e^{i*dnu*theta} over an interval.
-_NU_TOL = 1e-12
+# Below this difference dnu of angular frequencies, e^{i*dnu*theta} is
+# integrated over an interval of width w as its midpoint phase times
+# w*sin(h)/h, h = dnu*w/2: the difference of its two end values would
+# cancel to an error of about 1e-16/|dnu|.
+_NU_SMALL = 1e-2
 
 
 def wrap_angle(theta: float) -> float:
@@ -81,33 +83,6 @@ def integer_mode(l: int) -> ClosedForm:
     return ClosedForm(float(l))
 
 
-@dataclass(frozen=True)
-class NonIntegerOamState:
-    """Basis element with integer index l, fractional twist lam in [0,1),
-    and edge orientation alpha; the unitary image of |l> under a fractional
-    spiral plate of step lam oriented at alpha."""
-
-    l: int
-    lam: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam < 1.0:
-            raise ValueError(f"lam must lie in [0,1), got {self.lam}")
-        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
-
-    def to_closed_form(self) -> ClosedForm:
-        # rotation convention: the oriented state is the alpha=0 state with
-        # its argument shifted, psi(theta - alpha); this fixes the global
-        # phase e^{-i(l+lam)*alpha} that the overlap amplitudes carry
-        a, lam = self.alpha, self.lam
-        nu = self.l + lam
-        if a == 0.0:
-            return ClosedForm(nu)
-        base = cmath.exp(-1j * nu * a)
-        return ClosedForm(nu, (0.0, a), (base * cmath.exp(1j * TWO_PI * lam), base))
-
-
 def _merge_boundaries(a: ClosedForm, b: ClosedForm):
     bs = sorted(set(a.boundaries) | set(b.boundaries))
     bs.append(TWO_PI)
@@ -122,8 +97,9 @@ def inner_product(a, b) -> complex:
     total = 0.0 + 0.0j
     for t0, t1 in zip(bs[:-1], bs[1:]):
         c = a.factor_at(t0).conjugate() * b.factor_at(t0)
-        if abs(dnu) < _NU_TOL:
-            total += c * (t1 - t0)
+        if abs(dnu) < _NU_SMALL:
+            w, h = t1 - t0, 0.5 * dnu * (t1 - t0)
+            total += c * cmath.exp(0.5j * dnu * (t0 + t1)) * (w * (math.sin(h) / h) if h else w)
         else:
             total += c * (cmath.exp(1j * dnu * t1) - cmath.exp(1j * dnu * t0)) / (1j * dnu)
     return total / TWO_PI

@@ -3,10 +3,12 @@ quantity as a file artifact and prints the single key number to stdout.
 
 Angles are accepted in radians with pi-literal arithmetic ("pi/4", "-pi/2",
 "3*pi/4"): numbers, pi, + - * / and parentheses. Exit codes: 0 success,
-1 an oracle check failed, 2 invalid input, 3 I/O failure.
+1 an oracle check failed, 2 invalid input (including a plate whose fringe
+vanishes at a Bell setting, where S is undefined), 3 I/O failure.
 
 The sizing flags have upper bounds, and a larger value exits 2 before any
-work: --budget 1000000, --sectors 16, --grid 4096, --samples 100000,
+work: --budget 1000000, --sectors 16 (also for the mask of a --plate-json or
+--init file), --grid 4096, --samples 100000,
 --p-max 1000, --l-halfwidth 250. farfield --extent must lie between 8 and
 --grid/4 waist radii, so a grid cell spans at most half a waist, and
 |--ell| at most pi*grid/(2*extent): by the sampling theorem the plate phase
@@ -102,9 +104,13 @@ def _read_plate(path) -> plates.PhasePlate:
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid plate JSON: {exc}") from exc
     try:
-        return plates.from_dict(doc)
+        plate = plates.from_dict(doc)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputError(f"invalid plate description: {exc}") from exc
+    if isinstance(plate, plates.BinarySectors) and len(plate.sectors) > LIMITS["sectors"]:
+        raise InputError(f"plate file has {len(plate.sectors)} sectors, above the limit of "
+                         f"{LIMITS['sectors']}")
+    return plate
 
 
 def _plate_from_args(args) -> plates.PhasePlate:
@@ -294,7 +300,8 @@ def main(argv=None) -> int:
     except oracle.OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 1
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, bell.DegenerateFringeError) as exc:
+        # a fringe that vanishes at a setting leaves S undefined
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -16,7 +16,6 @@ import numpy as np
 
 from oamsim.angular import (
     AngularGrid,
-    NonIntegerOamState,
     inner_product,
     integer_mode,
     norm,
@@ -37,11 +36,7 @@ from oamsim.lgfield import decompose_plate_output, far_field
 from oamsim.oracle import fractional_tail_bound, verify_fringe_sample, verify_overlap
 from oamsim.overlap import sample_curve, spiral_overlap_probability
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state, profile
-from oamsim.twophoton import (
-    coincidence_amplitude,
-    fringe_probability,
-    fringe_probability_exact,
-)
+from oamsim.twophoton import fringe_probability, fringe_probability_exact
 
 TWO_PI = 2.0 * math.pi
 
@@ -120,8 +115,9 @@ def test_criterion_4_fringe_law(capsys):
     zero_at_pi = fringe_probability(plate, math.pi)
     max_offset_drift = 0.0
     for offset in (0.3, 1.0, 2.5, 5.0):
-        base = coincidence_amplitude(Spiral(0.5, 0.0), Spiral(0.5, 0.9))
-        moved = coincidence_amplitude(Spiral(0.5, offset), Spiral(0.5, 0.9 + offset))
+        base = inner_product(plate_state(Spiral(0.5, 0.0), 0), plate_state(Spiral(0.5, 0.9), 0))
+        moved = inner_product(plate_state(Spiral(0.5, offset), 0),
+                              plate_state(Spiral(0.5, 0.9 + offset), 0))
         max_offset_drift = max(max_offset_drift, abs(base - moved))
     elapsed = time.perf_counter() - t0
     ok = (
@@ -253,7 +249,7 @@ def test_criterion_8_property_suites(capsys):
 
     max_ortho_dev = 0.0
     for lam, alpha in ((0.5, 0.0), (0.5, 1.3), (0.25, 2.0)):
-        basis = [NonIntegerOamState(l, lam, alpha).to_closed_form() for l in range(-3, 4)]
+        basis = [plate_state(Spiral(l + lam, alpha), 0) for l in range(-3, 4)]
         for i, a in enumerate(basis):
             for k, b in enumerate(basis):
                 target = 1.0 if i == k else 0.0
@@ -265,14 +261,14 @@ def test_criterion_8_property_suites(capsys):
             reference = spiral_overlap_probability(lam, alpha)
             for l in range(-3, 4):
                 for j in range(0, 5):
-                    a0 = NonIntegerOamState(l + j, lam, 0.0).to_closed_form()
-                    a1 = NonIntegerOamState(l + j, lam, alpha).to_closed_form()
+                    a0 = plate_state(Spiral(l + j + lam, 0.0), 0)
+                    a1 = plate_state(Spiral(l + j + lam, alpha), 0)
                     prob = abs(inner_product(a0, a1)) ** 2
                     max_lj_dev = max(max_lj_dev, abs(prob - reference))
 
     max_tail_dev = 0.0
     for lam in (0.25, 0.5, 0.8):
-        spectrum = oam_spectrum(NonIntegerOamState(0, lam).to_closed_form(), -30, 30)
+        spectrum = oam_spectrum(plate_state(Spiral(lam), 0), -30, 30)
         inside = sum(abs(a) ** 2 for _, a in spectrum)
         tail = fractional_tail_bound(lam, -30, 30)
         max_tail_dev = max(max_tail_dev, abs((1.0 - inside) - tail))

@@ -11,7 +11,6 @@ from oamsim.angular import (
     TWO_PI,
     AngularGrid,
     ClosedForm,
-    NonIntegerOamState,
     inner_product,
     integer_mode,
     norm,
@@ -19,6 +18,7 @@ from oamsim.angular import (
     wrap_angle,
 )
 from oamsim.oracle import fractional_tail_bound
+from oamsim.plates import Spiral, plate_state
 
 
 def test_wrap_angle_range():
@@ -60,14 +60,9 @@ def test_closed_form_norm_is_unit():
     assert norm(cf) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_non_integer_state_validation():
-    with pytest.raises(ValueError):
-        NonIntegerOamState(0, 1.5)
-
-
 def test_non_integer_basis_orthonormal():
     alpha = 1.3
-    states = [NonIntegerOamState(l, 0.5, alpha).to_closed_form() for l in range(-3, 4)]
+    states = [plate_state(Spiral(l + 0.5, alpha), 0) for l in range(-3, 4)]
     for i, a in enumerate(states):
         for k, b in enumerate(states):
             expected = 1.0 if i == k else 0.0
@@ -99,5 +94,5 @@ def test_fractional_tail_bound_zero_for_integer():
     l=st.integers(min_value=-3, max_value=3),
 )
 def test_non_integer_state_is_normalized(lam, alpha, l):
-    state = NonIntegerOamState(l, lam, alpha).to_closed_form()
+    state = plate_state(Spiral(l + lam, alpha), 0)
     assert norm(state) == pytest.approx(1.0, abs=1e-12)

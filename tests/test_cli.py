@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oamsim
 from oamsim import bell, lgfield, overlap, twophoton
@@ -54,6 +59,13 @@ def _refuse_work(*args, **kwargs):
     raise AssertionError("a sizing flag above its bound reached the computation")
 
 
+def _refuse_all_work(monkeypatch):
+    for module, name in ((bell, "search_max_s"), (bell, "chsh_s"), (lgfield, "far_field"),
+                         (lgfield, "decompose_plate_output"), (overlap, "sample_curve"),
+                         (twophoton, "coincidence_fringe")):
+        monkeypatch.setattr(module, name, _refuse_work)
+
+
 @pytest.mark.parametrize("flag,args", [
     ("budget", ["search"]),
     ("sectors", ["search"]),
@@ -64,14 +76,25 @@ def _refuse_work(*args, **kwargs):
     ("l_halfwidth", ["decompose", "--ell", "0.5"]),
 ])
 def test_sizing_flag_above_bound_exits_2(tmp_path, capsys, monkeypatch, flag, args):
-    for module, name in ((bell, "search_max_s"), (lgfield, "far_field"),
-                         (lgfield, "decompose_plate_output"), (overlap, "sample_curve"),
-                         (twophoton, "coincidence_fringe")):
-        monkeypatch.setattr(module, name, _refuse_work)
+    _refuse_all_work(monkeypatch)
     out = tmp_path / "out"
     option = "--" + flag.replace("_", "-")
     assert main(args + [option, str(LIMITS[flag] + 1), "--out", str(out)]) == 2
     assert option in _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["bell", "--plate-json"], ["fringe", "--plate-json"],
+                                  ["search", "--init"]], ids=lambda a: a[0])
+def test_plate_file_above_sector_bound_exits_2(tmp_path, capsys, monkeypatch, args):
+    # the covariogram's work and memory grow as the square of the sectors
+    _refuse_all_work(monkeypatch)
+    plate = tmp_path / "plate.json"
+    plate.write_text(json.dumps({"type": "binary", "phi": math.pi, "sectors": [
+        [0.3 * i, 0.3 * i + 0.2] for i in range(LIMITS["sectors"] + 1)]}))
+    out = tmp_path / "out"
+    assert main(args + [str(plate), "--out", str(out)]) == 2
+    assert "above the limit of 16" in _one_line_error(capsys)
     assert not out.exists()
 
 
@@ -111,6 +134,20 @@ def test_bell_cos2_sanity(tmp_path, capsys):
     assert json.loads(out.read_text())["S"] == pytest.approx(
         2.0 * math.sqrt(2.0), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("sectors", [((0, 1), (2, 3)), ((0, 2), (4, 6))],
+                         ids=["standard-sweep-mask", "alternate-quarters"])
+def test_bell_on_a_vanishing_fringe_exits_2(tmp_path, capsys, sectors):
+    # sector ends in units of pi/4; a fringe zero at a Bell setting leaves S
+    # undefined
+    plate = tmp_path / "mask.json"
+    plate.write_text(json.dumps({"type": "binary", "phi": math.pi, "sectors": [
+        [a * math.pi / 4, b * math.pi / 4] for a, b in sectors]}))
+    out = tmp_path / "bell.json"
+    assert main(["bell", "--plate-json", str(plate), "--out", str(out)]) == 2
+    assert "vanishing coincidence rate" in _one_line_error(capsys)
+    assert not out.exists()
 
 
 def test_fringe_coincidence_csv(tmp_path, capsys):
@@ -378,3 +415,33 @@ def test_subcommands_load_no_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+
+# sector ends on the pi/4 lattice, where fringe zeros meet the Bell settings,
+# and now and then anywhere on the circle
+_LATTICE = st.integers(0, 8).map(lambda k: k * math.pi / 4)
+_MASK_ENDS = st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.one_of(_LATTICE, _LATTICE, _LATTICE, st.floats(0.0, 2 * math.pi)),
+    min_size=2 * k, max_size=2 * k, unique=True).map(sorted))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ends=_MASK_ENDS, phi=st.sampled_from([math.pi, math.pi / 2, 2 * math.pi / 3]))
+@example(ends=[0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4], phi=math.pi)
+def test_plate_file_commands_exit_0_or_2_without_a_traceback(ends, phi):
+    # hypothesis rejects function-scoped fixtures, so no tmp_path or capsys
+    sectors = [ends[i:i + 2] for i in range(0, len(ends), 2)]
+    with tempfile.TemporaryDirectory() as tmp:
+        plate = os.path.join(tmp, "mask.json")
+        with open(plate, "w") as fh:
+            json.dump({"type": "binary", "phi": phi, "sectors": sectors}, fh)
+        runs = [["bell", "--settings", name] for name in ("auto", "spiral", "polarization")]
+        runs += [["fringe", "--kind", kind, "--samples", "36"]
+                 for kind in ("coincidence", "overlap")]
+        for args in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(args + ["--plate-json", plate, "--out", os.path.join(tmp, "out")])
+            assert code in (0, 2), (args, code)
+            assert code == 0 or len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+            assert "Traceback" not in err.getvalue()

@@ -50,15 +50,11 @@ def test_spiral_probability_matches_direct_inner_product():
 
 
 def test_spiral_amplitude_matches_rotated_basis_state():
-    # the amplitude's phase convention is that of a rotated basis state,
-    # psi(theta - alpha), not of the literal two-branch plate operator
-    from oamsim.angular import NonIntegerOamState
-
+    # the amplitude carries the phase of the rotated plate state,
+    # psi(theta - alpha)
     l, j, lam = 1, 2, 0.5
     for alpha in (0.5, math.pi / 2, 3.0):
-        a0 = NonIntegerOamState(l + j, lam, 0.0).to_closed_form()
-        a1 = NonIntegerOamState(l + j, lam, alpha).to_closed_form()
-        direct = inner_product(a0, a1)
+        direct = _direct_overlap(Spiral(l + j + lam), alpha)
         assert spiral_overlap_amplitude(l + j, lam, alpha) == pytest.approx(direct, abs=1e-12)
 
 

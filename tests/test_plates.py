@@ -1,5 +1,6 @@
 """Tests for the plate families: unitarity, geometry, serialization."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from oamsim.angular import (
     TWO_PI,
     AngularGrid,
     ClosedForm,
-    NonIntegerOamState,
     inner_product,
     integer_mode,
     norm,
@@ -89,11 +89,16 @@ def test_plate_state_boundaries_strictly_increase_from_zero(plate, l):
     alpha=st.floats(min_value=0.0, max_value=TWO_PI - 1e-9),
 )
 def test_spiral_plate_state_is_the_non_integer_state(l, lam, alpha):
-    by_plate = plate_state(Spiral(l + lam, alpha), 0)
-    by_basis = NonIntegerOamState(l, lam, alpha).to_closed_form()
+    # <m|psi> = e^{-i*m*alpha} (e^{2*pi*i*x} - 1)/(2*pi*i*x) with x = ell - m,
+    # 1 at x = 0, written as e^{i*pi*x} sin(pi*x)/(pi*x) so that it does not
+    # cancel for small x (Götte et al., J. Mod. Opt. 54, 1723 (2007))
+    ell = l + lam
+    by_plate = plate_state(Spiral(ell, alpha), 0)
     for m in range(-5, 6):
-        mode = integer_mode(m)
-        assert abs(inner_product(mode, by_plate) - inner_product(mode, by_basis)) < 1e-12
+        x = ell - m
+        sinc = math.sin(math.pi * x) / (math.pi * x) if x else 1.0
+        closed = cmath.exp(-1j * m * alpha) * cmath.exp(1j * math.pi * x) * sinc
+        assert abs(inner_product(integer_mode(m), by_plate) - closed) < 1e-12
 
 
 def test_profile_is_unimodular():

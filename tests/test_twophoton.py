@@ -1,46 +1,35 @@
-"""Tests for the two-photon state, collapse, and coincidence fringes."""
+"""Tests for the two-photon coincidence fringes."""
 
 import math
 from fractions import Fraction
 
 import pytest
 
-from oamsim.angular import NonIntegerOamState
+from oamsim.angular import inner_product
 from oamsim.overlap import closed_form_probability, sample_curve
-from oamsim.plates import BinarySectors, Spiral, Step
+from oamsim.plates import BinarySectors, Spiral, Step, plate_state
 from oamsim.twophoton import (
     UnsupportedAnalyzerError,
-    coincidence_amplitude,
     coincidence_fringe,
-    collapse_idler,
     fringe_probability,
     fringe_probability_exact,
 )
 
 
-def test_collapse_idler_index_and_orientation():
-    collapsed = collapse_idler(Spiral(2.5, 1.2))
-    assert isinstance(collapsed, NonIntegerOamState)
-    assert collapsed.l == 2  # floor(ell)
-    assert collapsed.lam == 0.5
-    assert collapsed.alpha == pytest.approx(1.2)
-
-
-def test_collapse_requires_half_integer_spiral():
-    with pytest.raises(UnsupportedAnalyzerError):
-        collapse_idler(Spiral(2.25))
-    with pytest.raises(UnsupportedAnalyzerError):
-        collapse_idler(Step(math.pi))
+def _overlap(signal_plate, idler_plate):
+    """Coincidence amplitude from first principles: the overlap of the two
+    analyzers' plate states."""
+    return inner_product(plate_state(signal_plate, 0), plate_state(idler_plate, 0))
 
 
 def test_coincidence_depends_only_on_relative_angle():
     for plate in (Spiral(1.5), Step(math.pi / 2), BinarySectors(1.0, ((0.3, 2.0),))):
         for offset in (0.0, 0.7, 2.0, 5.0):
-            base = coincidence_amplitude(
+            base = _overlap(
                 type(plate)(**_with_alpha(plate, 0.0)),
                 type(plate)(**_with_alpha(plate, 1.1)),
             )
-            shifted = coincidence_amplitude(
+            shifted = _overlap(
                 type(plate)(**_with_alpha(plate, offset)),
                 type(plate)(**_with_alpha(plate, 1.1 + offset)),
             )
@@ -51,12 +40,13 @@ def test_coincidence_depends_only_on_relative_angle():
     Spiral(0.5), Spiral(2.5), Step(math.pi), Step(math.pi / 2),
     BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 4.0))),
 ])
-def test_coincidence_amplitude_gives_the_fringe(plate):
-    # the collapse path and the fringe behind CHSH and the CLI give one rate
+def test_plate_state_overlap_gives_the_fringe(plate):
+    # the piecewise integral of the two plate states and the fringe behind
+    # CHSH and the CLI give one rate
     for alpha_s, alpha_i in ((0.0, 0.0), (0.0, 1.1), (0.4, 3.5), (2.0, 0.3), (5.5, 1.0)):
         signal = type(plate)(**_with_alpha(plate, alpha_s))
         idler = type(plate)(**_with_alpha(plate, alpha_i))
-        rate = abs(coincidence_amplitude(signal, idler)) ** 2
+        rate = abs(_overlap(signal, idler)) ** 2
         assert abs(rate - fringe_probability(plate, alpha_i - alpha_s)) <= 1e-12
 
 
@@ -70,11 +60,6 @@ def _with_alpha(plate, alpha):
         doc["phi"] = plate.phi
         doc["sectors"] = plate.sectors
     return doc
-
-
-def test_mixed_analyzer_families_rejected():
-    with pytest.raises(UnsupportedAnalyzerError):
-        coincidence_amplitude(Spiral(0.5), Step(math.pi))
 
 
 def test_half_integer_fringe_is_parabolic():
