@@ -31,8 +31,8 @@ import sys
 from . import bell, lgfield, oracle, overlap, plates, twophoton
 
 # upper bounds of the sizing flags: each keeps one run's time and memory
-# bounded (a --grid of N holds several N x N complex arrays, about 2 GB at
-# 4096; --budget and --sectors set the search's mask evaluations and their
+# bounded (a --grid of N holds at most three N x N complex arrays, 768 MiB
+# at 4096; --budget and --sectors set the search's mask evaluations and their
 # size; --samples the rows of a fringe; --p-max and --l-halfwidth the rows
 # of a decomposition)
 LIMITS = {

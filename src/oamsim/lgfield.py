@@ -129,18 +129,18 @@ def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
         def radial(l, p_max):
             return quadrature_radial_overlaps(l, p_max, quadrature_order)
 
-    entries = []
-    for l, a_l in kept:
-        coeffs = a_l * radial(l, p_max)
-        powers = np.abs(coeffs) ** 2
-        for p in range(p_max + 1):
-            if powers[p] > 1e-16:
-                entries.append((l, int(p), complex(coeffs[p]), float(powers[p])))
-    entries.sort(key=lambda e: (-e[3], e[0], e[1]))
+    coeffs = np.array([a_l * radial(l, p_max) for l, a_l in kept]).reshape(-1, p_max + 1)
+    powers = np.abs(coeffs) ** 2
+    rows, ps = np.nonzero(powers > 1e-16)
+    # rows ascend with l and (l, p) is unique: the order of the key (-power, l, p)
+    order = np.lexsort((ps, rows, -powers[rows, ps]))
+    rows, ps = rows[order], ps[order]
+    ls = np.array([l for l, _ in kept], dtype=np.int64)[rows]
+    entries = tuple(zip(ls.tolist(), ps.tolist(), coeffs[rows, ps].tolist(),
+                        powers[rows, ps].tolist()))
 
     angular_tail = 1.0 - sum(abs(a) ** 2 for _, a in angular)
-    return LgDecomposition(
-        tuple(entries), (l_min, l_max), p_max, target_power, angular_tail)
+    return LgDecomposition(entries, (l_min, l_max), p_max, target_power, angular_tail)
 
 
 @dataclass(frozen=True)
@@ -261,10 +261,10 @@ def peak_radius(intensity: np.ndarray) -> float:
     """Radius (pixels) maximizing the azimuthally averaged intensity; falls
     back to the half-maximum radius when the peak sits on the axis."""
     n = intensity.shape[0]
-    center = n / 2.0
-    yy, xx = np.indices(intensity.shape)
-    rr = np.hypot(yy - center, xx - center)
-    bins = np.round(rr).astype(int)
+    # r^2 is an exact integer (plus 1/2 for odd n), at least 1/4 from any
+    # (m + 1/2)^2, so a sqrt off by an ulp still rounds to the right bin
+    square = (np.arange(n) - n / 2.0) ** 2
+    bins = np.rint(np.sqrt(square[:, None] + square[None, :])).astype(int)
     maxbin = n // 2
     sums = np.bincount(bins.ravel(), weights=intensity.ravel(), minlength=maxbin + 1)
     counts = np.bincount(bins.ravel(), minlength=maxbin + 1)
@@ -281,9 +281,9 @@ def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
     """Fraunhofer far field of the plate acting on the fundamental Gaussian,
     w0 = 1.
 
-    The waist field times the plate phase is sampled on a Cartesian grid of
-    physical half-width ``extent`` (in w0 units) and Fourier transformed
-    with the unitary normalization, so total power is preserved.
+    The waist field e^{-x^2} e^{-y^2}, one 1-D vector per axis, times the
+    plate phase is sampled on a Cartesian grid of half-width ``extent`` (in
+    w0 units); its unitary Fourier transform keeps the total power.
     """
     if n < 128 or n & (n - 1):
         raise ValueError("grid size must be a power of two >= 128")
@@ -299,17 +299,15 @@ def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
         raise ValueError(f"|ell| must be at most pi*grid/(2*extent) = {ell_limit:.6g} for the "
                          f"grid to sample the plate phase at the waist, got {plate.ell}")
     # half-cell offset: no sample sits on the vortex axis and the grid is
-    # symmetric under inversion, so odd-harmonic terms cancel exactly in
-    # the DC bin (intensity is unaffected by the induced phase ramp)
+    # symmetric under inversion, so odd-harmonic terms cancel exactly in the
+    # DC bin. For even n, fftshift(fft2(ifftshift(f))) is fft2(f (-1)^(i+j))
+    # up to a phase ramp the intensity drops: no shift copies the grid
     coords = (np.arange(n) - n / 2.0 + 0.5) * (2.0 * extent / n)
-    xx, yy = np.meshgrid(coords, coords)
-    rr = np.hypot(xx, yy)
-    th = np.mod(np.arctan2(yy, xx), 2.0 * math.pi)
-    # the unit-norm LG_00 waist amplitude
-    field = math.sqrt(2.0 / math.pi) * np.exp(-(rr**2)) * profile(plate, th)
-    cell = (2.0 * extent / n) ** 2
-    power = float(np.sum(np.abs(field) ** 2)) * cell
-    field = field / math.sqrt(power)
-    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field), norm="ortho"))
-    intensity = np.abs(spectrum) ** 2 * cell
-    return FarFieldImage(intensity, extent, plate)
+    gauss = np.exp(-(coords**2))
+    # |profile| = 1, so |field|^2 sums to 1, and so does its unitary transform
+    amplitude = gauss / math.sqrt(math.fsum(gauss**2)) * (-1.0) ** np.arange(n)
+    field = profile(plate, np.arctan2(coords[:, None], coords[None, :]))
+    field *= amplitude[:, None]
+    field *= amplitude[None, :]
+    spectrum = np.fft.fft2(field, norm="ortho")
+    return FarFieldImage(spectrum.real**2 + spectrum.imag**2, extent, plate)

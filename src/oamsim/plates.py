@@ -151,10 +151,11 @@ def profile(plate, theta) -> np.ndarray:
     """The plate's unimodular phase factor at angle(s) theta."""
     shift, boundaries, factors = _pieces(plate)
     t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-    idx = np.searchsorted(np.asarray(boundaries), t, side="right") - 1
-    fac = np.asarray(factors)[idx]
+    fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
     if shift != 0.0:
-        fac = fac * np.exp(1j * shift * t)
+        # the exponential reuses its one complex temporary; [()] keeps scalars
+        phase = np.multiply(t, 1j * shift, out=np.empty(np.shape(t), complex))
+        fac *= np.exp(phase, out=phase)[()]
     return fac
 
 

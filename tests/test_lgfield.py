@@ -1,6 +1,7 @@
 """Tests for LG radial overlaps, decompositions, and far fields."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,12 @@ import pytest
 from scipy.ndimage import map_coordinates
 from scipy.special import roots_genlaguerre
 
-from oamsim import oracle
+from oamsim import lgfield, oracle
+from oamsim.angular import oam_spectrum
+from oamsim.cli import main
 from oamsim.lgfield import (
     _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
-from oamsim.plates import Spiral
+from oamsim.plates import BinarySectors, Spiral, Step, plate_state, profile
 
 
 def _analytic_radial_overlap(l, p):
@@ -136,6 +139,57 @@ def test_count_at_without_entries_raises_value_error():
         d.count_at(0.87)
 
 
+def _decomposition_one_entry_at_a_time(plate, l_window, p_max, radial=radial_overlaps):
+    """Entries built one (l, p) at a time and sorted on the key (-power, l, p)."""
+    entries = []
+    for l, a_l in oam_spectrum(plate_state(plate, 0), *l_window):
+        if abs(a_l) < 1e-14:
+            continue
+        coeffs = a_l * radial(l, p_max)
+        powers = np.abs(coeffs) ** 2
+        for p in range(p_max + 1):
+            if powers[p] > 1e-16:
+                entries.append((l, p, complex(coeffs[p]), float(powers[p])))
+    entries.sort(key=lambda e: (-e[3], e[0], e[1]))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("ell, l_window", [(0.5, (-60, 61)), (2.5, (-58, 63)), (2.0, (-5, 5))])
+def test_decomposition_equals_the_entry_by_entry_build(ell, l_window):
+    d = decompose_plate_output(Spiral(ell), l_window=l_window, p_max=40)
+    assert d.entries == _decomposition_one_entry_at_a_time(Spiral(ell), l_window, 40)
+    assert all(type(l) is int and type(p) is int and type(c) is complex and type(w) is float
+               for l, p, c, w in d.entries)
+    if ell == 2.0:
+        assert {l for l, *_ in d.entries} == {2}
+
+
+def test_quadrature_decomposition_equals_the_entry_by_entry_build():
+    order = 120
+    d = decompose_plate_output(Spiral(0.5), l_window=(-6, 7), p_max=20, quadrature_order=order)
+    expected = _decomposition_one_entry_at_a_time(
+        Spiral(0.5), (-6, 7), 20,
+        radial=lambda l, p_max: oracle.quadrature_radial_overlaps(l, p_max, order))
+    assert d.entries == expected
+
+
+def test_window_without_kept_amplitudes_is_empty_and_incomplete(tmp_path, capsys, monkeypatch):
+    # every a_l of the integer plate Spiral(2) over l = 5..8 is below 1e-14
+    d = decompose_plate_output(Spiral(2.0), l_window=(5, 8), p_max=10)
+    assert d.entries == ()
+    assert d.incomplete
+    with pytest.raises(ValueError):
+        d.count_at(0.87)
+    # the CLI centres its window on round(ell), so the same window is forced
+    original = lgfield.decompose_plate_output
+    monkeypatch.setattr(lgfield, "decompose_plate_output",
+                        lambda plate, **kw: original(plate, **{**kw, "l_window": (5, 8)}))
+    out = tmp_path / "decomp.csv"
+    assert main(["decompose", "--ell", "2", "--p-max", "10", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "incomplete: window power 0.000000\n"
+    assert out.read_text().splitlines() == ["l,p,re,im,power,cumulative_power"]
+
+
 def test_decomposition_validation():
     with pytest.raises(ValueError):
         decompose_plate_output(Spiral(0.5), l_window=(3, -3))
@@ -194,6 +248,65 @@ def test_spline_sampler_matches_ndimage_up_to_the_edges():
     expected = map_coordinates(image, [rows, cols], order=3, mode="nearest")
     got = _cubic_spline_sample(image, rows, cols)
     assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(np.abs(expected)))
+
+
+def _centred_transform_image(plate, n, extent=16.0):
+    """The far field by the textbook pipeline: the sampled waist field,
+    renormalized by its sampled power, through the centred unitary FFT."""
+    coords = (np.arange(n) - n / 2.0 + 0.5) * (2.0 * extent / n)
+    xx, yy = np.meshgrid(coords, coords)
+    field = np.exp(-(xx**2 + yy**2)) * profile(plate, np.arctan2(yy, xx))
+    cell = (2.0 * extent / n) ** 2
+    field /= math.sqrt(float(np.sum(np.abs(field) ** 2)) * cell)
+    spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field), norm="ortho"))
+    return np.abs(spectrum) ** 2 * cell
+
+
+_FAR_FIELD_PLATES = [
+    *(Spiral(ell) for ell in (0.0, 0.5, 2.25, 3.0, 3.5)),
+    Spiral(1.5, alpha=1.0),
+    Step(math.pi / 2, alpha=0.3),
+    BinarySectors(math.pi, ((0.0, math.pi / 4), (math.pi / 2, 3 * math.pi / 4))),
+]
+
+
+@pytest.mark.parametrize("plate", _FAR_FIELD_PLATES, ids=repr)
+def test_far_field_is_the_centred_transform(plate):
+    expected = _centred_transform_image(plate, 256)
+    got = far_field(plate, n=256).intensity
+    assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(expected))
+
+
+def test_far_field_without_the_sign_pattern_is_not_centred(monkeypatch):
+    # undoing the (-1)^(i+j) pattern at the FFT's input leaves the
+    # uncentred transform, which the comparison above must reject
+    plate, n = Spiral(3.5), 256
+    expected = _centred_transform_image(plate, n)
+    sign = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, -1.0, 1.0)
+    fft2 = np.fft.fft2
+    monkeypatch.setattr(lgfield.np.fft, "fft2", lambda a, **kw: fft2(a * sign, **kw))
+    got = far_field(plate, n=n).intensity
+    assert float(np.max(np.abs(got - expected))) > 0.5 * float(np.max(expected))
+
+
+def test_far_field_keeps_at_most_three_grids_alive():
+    # the kernel's largest live set is three n x n complex grids (16 B a
+    # pixel), inside the plate profile: the angle and the wrapped angle
+    # (real, half a grid each), the factor and the phase. The FFT holds three
+    # too: its input and the outputs of its two axis passes; the intensity
+    # then squares the spectrum's two real halves, half a grid each.
+    # The bound adds a quarter grid for the 1-D vectors and bookkeeping; a
+    # meshgrid or a shift copy adds a whole grid.
+    n = 512
+    grid = 16 * n * n
+    far_field(Spiral(3.5), n=n)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        far_field(Spiral(3.5), n=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * grid, f"peak {peak / grid:.2f} complex grids"
 
 
 def test_far_field_vortex_has_on_axis_null():

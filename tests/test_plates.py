@@ -109,6 +109,8 @@ def test_profile_is_unimodular():
         BinarySectors(math.pi, ((0.5, 1.5), (3.0, 4.0)), 2.0),
     ):
         assert np.allclose(np.abs(profile(plate, thetas)), 1.0, atol=1e-14)
+        # a scalar angle gives a scalar factor
+        assert np.ndim(profile(plate, 1.0)) == 0 and abs(profile(plate, 1.0)) == pytest.approx(1.0)
 
 
 def test_closed_form_apply_matches_pointwise():
