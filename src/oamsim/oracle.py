@@ -18,6 +18,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,13 +60,25 @@ def _report(quantity, closed, oracle, grid, tol) -> OracleReport:
 
 
 def geometric_profile(plate, thetas) -> np.ndarray:
-    """The plate's phase factor at each angle, read from the plate's own
-    fields in its local angle (theta - alpha) mod 2*pi: e^{i*ell*local} for a
-    spiral; e^{i*phi} where local < pi for a step and where local lies in a
-    listed sector for a binary mask, 1 elsewhere."""
-    local = np.mod(thetas - plate.alpha, TWO_PI)
+    """The plate's phase factor at each angle in [0, 2*pi), read from the
+    plate's own fields in its local angle (theta - alpha) mod 2*pi:
+    e^{i*ell*local} for a spiral; e^{i*phi} where local < pi for a step and
+    where local lies in a listed sector for a binary mask, 1 elsewhere.
+
+    Both theta and alpha lie in [0, 2*pi), so the difference is wrapped by
+    adding 2*pi where it is negative, which is exactly what the mod gives.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if not (0.0 <= thetas.min() and thetas.max() < TWO_PI):
+        raise ValueError("sample angles must lie in [0, 2*pi)")
+    local = thetas - plate.alpha
+    local = np.where(local < 0.0, local + TWO_PI, local)
     if isinstance(plate, Spiral):
-        return np.exp(1j * plate.ell * local)
+        phase = plate.ell * local
+        phasor = np.empty(local.shape, complex)
+        np.cos(phase, out=phasor.real)
+        np.sin(phase, out=phasor.imag)
+        return phasor
     if isinstance(plate, Step):
         delayed = local < math.pi
     else:
@@ -75,11 +88,21 @@ def geometric_profile(plate, thetas) -> np.ndarray:
     return np.where(delayed, cmath.exp(1j * plate.phi), 1.0 + 0.0j)
 
 
+@lru_cache(maxsize=1)
+def _unrotated(plate, grid: AngularGrid):
+    """(midpoints, samples) of the unrotated plate on the grid's cells,
+    read-only. One entry: the sweeps rotate one plate many times in a row."""
+    mids = grid.thetas + 0.5 * grid.spacing
+    samples = geometric_profile(plate, mids)
+    mids.flags.writeable = False
+    samples.flags.writeable = False
+    return mids, samples
+
+
 def quadrature_overlap_probability(plate, alpha: float, grid: AngularGrid) -> float:
     """|<state(plate)|state(plate rotated by alpha)>|^2 by the midpoint rule
-    on the grid's cells."""
-    mids = grid.thetas + 0.5 * grid.spacing
-    p0 = geometric_profile(plate, mids)
+    on the grid's cells; the rotated plate is sampled afresh on every call."""
+    mids, p0 = _unrotated(plate, grid)
     p1 = geometric_profile(replace(plate, alpha=plate.alpha + alpha), mids)
     return abs(complex(np.vdot(p0, p1)) / grid.n_points) ** 2
 

@@ -153,9 +153,13 @@ def profile(plate, theta) -> np.ndarray:
     t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
     fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
     if shift != 0.0:
-        # the exponential reuses its one complex temporary; [()] keeps scalars
-        phase = np.multiply(t, 1j * shift, out=np.empty(np.shape(t), complex))
-        fac *= np.exp(phase, out=phase)[()]
+        # cos + i*sin in one complex temporary, the phase staged in its real
+        # part; [()] keeps scalars
+        phasor = np.empty(np.shape(t), complex)
+        np.multiply(t, shift, out=phasor.real)
+        np.sin(phasor.real, out=phasor.imag)
+        np.cos(phasor.real, out=phasor.real)
+        fac *= phasor[()]
     return fac
 
 

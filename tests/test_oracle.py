@@ -51,6 +51,84 @@ def test_midpoint_sampling_exact_for_node_aligned_jumps():
     assert np.mean(profile).real == pytest.approx(exact, abs=1e-14)
 
 
+def _reference_profile(plate, thetas):
+    """The sampler's textbook form: the local angle by np.mod, the spiral
+    phasor by complex exp, half-planes and sectors by np.mod-based masks."""
+    local = np.mod(thetas - plate.alpha, TWO_PI)
+    if isinstance(plate, Spiral):
+        return np.exp(1j * plate.ell * local)
+    if isinstance(plate, Step):
+        delayed = local < math.pi
+    else:
+        delayed = np.zeros(local.shape, dtype=bool)
+        for a, b in plate.sectors:
+            delayed |= (a <= local) & (local < b)
+    return np.where(delayed, np.exp(1j * plate.phi), 1.0 + 0.0j)
+
+
+def test_geometric_profile_matches_the_mod_and_exp_form():
+    grid = AngularGrid(4096)
+    mids = grid.thetas + 0.5 * grid.spacing
+    below_two_pi = grid.thetas[-1]
+    edge = grid.thetas[1000]  # a node, where a step or sector edge lands
+    thetas = np.concatenate([grid.thetas, mids, np.random.default_rng(7).uniform(0, TWO_PI, 999)])
+    sectors = ((0.0, math.pi / 4), (math.pi / 2, 3 * math.pi / 4))
+    for alpha in (0.0, below_two_pi, edge):
+        plates = [Spiral(ell, alpha) for ell in (0.5, -2.25, 1e6)]
+        plates += [Step(math.pi / 3, alpha), BinarySectors(2.0, sectors, alpha),
+                   BinarySectors(math.pi, ((edge, TWO_PI),), alpha)]
+        for plate in plates:
+            got = geometric_profile(plate, thetas)
+            assert np.max(np.abs(got - _reference_profile(plate, thetas))) <= 4e-16, plate
+
+
+@pytest.mark.parametrize("bad", [-1e-12, TWO_PI, 7.0, math.nan, -math.inf])
+def test_geometric_profile_rejects_angles_outside_one_turn(bad):
+    thetas = np.array([0.0, 1.0, bad])
+    for plate in (Spiral(0.5), Step(math.pi), BinarySectors(1.0, ((0.5, 1.0),))):
+        with pytest.raises(ValueError):
+            geometric_profile(plate, thetas)
+
+
+def test_cached_samples_follow_the_plate():
+    # plates that differ in one field only, alternated so the one entry
+    # is replaced on every call
+    pairs = [
+        (Spiral(2.3), Spiral(2.3, 1.0)),
+        (Step(math.pi / 3), Step(2 * math.pi / 3)),
+        (BinarySectors(math.pi, ((0.0, 1.0),)), BinarySectors(math.pi, ((0.0, 1.0), (2.0, 3.0)))),
+    ]
+    for pair in pairs:
+        for alpha in (0.5, 1.0, math.pi):
+            for plate in pair + pair:
+                report = verify_overlap(plate, alpha)
+                oracle._unrotated.cache_clear()
+                assert verify_overlap(plate, alpha) == report, (plate, alpha)
+                assert oracle._unrotated.cache_info().currsize == 1
+    assert oracle._unrotated.cache_info().maxsize == 1
+    mids, samples = oracle._unrotated(Spiral(2.3), AngularGrid())
+    for cached in (mids, samples):
+        with pytest.raises(ValueError):
+            cached[0] = 0.0
+
+
+def test_rotated_plate_is_sampled_on_every_call(monkeypatch):
+    calls = []
+    sample = oracle.geometric_profile
+
+    def counted(plate, thetas):
+        calls.append(plate)
+        return sample(plate, thetas)
+
+    monkeypatch.setattr(oracle, "geometric_profile", counted)
+    oracle._unrotated.cache_clear()
+    grid = AngularGrid(256)
+    for _ in range(3):
+        oracle.quadrature_overlap_probability(Spiral(0.5), 1.0, grid)
+    # the unrotated plate once, then the rotated plate read from its own fields each time
+    assert calls == [Spiral(0.5)] + [Spiral(0.5, 1.0)] * 3
+
+
 def test_verify_overlap_mask_straddling_zero():
     # rotated by 3*pi/4, the second sector runs from 7*pi/4 round through 0
     # to pi/4: the closed form takes its wrapped-tail path

@@ -113,6 +113,19 @@ def test_profile_is_unimodular():
         assert np.ndim(profile(plate, 1.0)) == 0 and abs(profile(plate, 1.0)) == pytest.approx(1.0)
 
 
+def test_spiral_profile_matches_the_exponential_form():
+    # the branch factors of the Spiral docstring times e^{i*ell*t}, t wrapped by np.mod
+    thetas = np.concatenate([np.linspace(-7.0, 13.0, 2001), [0.0, 1.2, TWO_PI]])
+    for ell in (0.5, -2.25, 3.0, 3.5):
+        for a in (0.0, 1.2):
+            t = np.mod(thetas, TWO_PI)
+            branch = np.where(t < a, cmath.exp(1j * (TWO_PI - a) * ell), cmath.exp(-1j * a * ell))
+            expected = branch * np.exp(1j * ell * t)
+            assert np.max(np.abs(profile(Spiral(ell, a), thetas) - expected)) <= 4e-16
+            # a scalar angle on the scalar path, here at the edge of the second branch
+            assert abs(profile(Spiral(ell, a), 1.2) - expected[-2]) <= 4e-16
+
+
 def test_closed_form_apply_matches_pointwise():
     grid = AngularGrid(512)
     mid = grid.thetas + 0.5 * grid.spacing
