@@ -8,7 +8,6 @@ from .angular import (
     ClosedForm,
     inner_product,
     integer_mode,
-    norm,
     oam_spectrum,
 )
 from .bell import (
@@ -25,9 +24,7 @@ from .bell import (
 from .lgfield import FarFieldImage, LgDecomposition, decompose_plate_output, far_field
 from .overlap import (
     SampledCurve,
-    binary_mask_overlap,
     sample_curve,
-    spiral_overlap_amplitude,
     spiral_overlap_probability,
     step_overlap_probability,
 )

@@ -105,10 +105,6 @@ def inner_product(a, b) -> complex:
     return total / TWO_PI
 
 
-def norm(state) -> float:
-    return math.sqrt(inner_product(state, state).real)
-
-
 def oam_spectrum(state, l_min: int, l_max: int):
     """Amplitudes <l|state> for l in [l_min, l_max], as (l, amplitude) pairs."""
     if l_min > l_max:

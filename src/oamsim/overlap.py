@@ -6,7 +6,8 @@ the same state with its edge rotated, as derived analytically; the
 oracle module re-derives every value by angular quadrature. A binary mask's
 overlap follows from the set covariogram of its sectors, computed in numpy
 for whole batches of masks or angles, in blocks of bounded size, and, on
-Fractions of pi, exactly.
+Fractions of pi, exactly: from arc starts in [0, period] (others raise),
+wrapping only the deltas with np.mod, with the rows innermost.
 
 For the step plate the printed amplitude 1 + (alpha/pi)(cos(phi) - 1) only
 stays inside the unit disk for alpha >= 0; the first-principles integral is
@@ -16,7 +17,6 @@ reported on [0, 2*pi) by that symmetry.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -26,22 +26,16 @@ import numpy as np
 from .angular import TWO_PI, AngularGrid, wrap_angle
 from .plates import BinarySectors, PhasePlate, Spiral, Step
 
-# Elements, rows * k**2 * (deltas + 1), of one covariogram call. The call
-# holds about six float64 arrays of that size at once (t, the two pair
-# overlaps, temporaries of one, the running sum), 48 bytes an element, so
-# 2**13 elements keep it near 384 KiB for any batch of masks or angles. On
-# a 2-vCPU Xeon, 20000-evaluation searches (k = 2-4) ran fastest with
-# blocks of 2**12-2**13 elements, 0.08 s each; larger blocks took 0.12 s
-# and more memory, up to 44 MB of peak RSS unbounded against 36.7 MB.
+# Elements, rows * k**2 * (deltas + 1), of one covariogram call. At its
+# peak a call holds t (8 bytes an element) and the two numpy iterator
+# buffers, of up to np.getbufsize() = 2**13 float64s each, that broadcasting
+# its operands takes; or t, L(t) and one such buffer. The wrap's two boolean
+# masks (1 byte an element each) live beside t alone. At 2**13 elements that
+# is about 25 bytes an element, 200 KiB. On a 2-vCPU Xeon, six
+# 20000-evaluation searches (k = 2-4) took 0.20 s best and 0.29 s median of 7
+# with blocks of 2**13 elements, and 0.25 s and 0.32 s with 2**12, at
+# 37.5 MB of peak RSS either way.
 _COVARIOGRAM_ELEMENTS = 2 ** 13
-
-
-def spiral_overlap_amplitude(n: int, lam: float, alpha: float) -> complex:
-    """<a^n_lam(0) | a^n_lam(alpha)>:
-    (1/2pi)[2pi - alpha + alpha e^{i 2pi lam}] e^{-i (n+lam) alpha}."""
-    a = wrap_angle(alpha)
-    bracket = (TWO_PI - a + a * cmath.exp(1j * TWO_PI * lam)) / TWO_PI
-    return bracket * cmath.exp(-1j * (n + lam) * a)
 
 
 def spiral_overlap_probability(lam: float, alpha: float) -> float:
@@ -68,27 +62,45 @@ def step_overlap_probability(phi: float, alpha: float) -> float:
 
 def covariogram(starts, widths, deltas, period=TWO_PI):
     """Set covariogram |M & (M + delta)| of the union M of the disjoint arcs
-    [starts_i, starts_i + widths_i) on a circle of the given period, at each
-    delta: floats in radians with period 2*pi, or Fractions of pi (object
-    arrays) with period 2.
+    [starts_i, starts_i + widths_i) on a circle of period P, at each delta:
+    floats in radians with P = 2*pi, or Fractions of pi (object arrays) with
+    P = 2. Rows of (..., k) starts, each in [0, P] (else ValueError), and
+    widths give (..., D) values for D deltas; rotating M changes nothing.
 
-    Each pair of arcs contributes L(t) + L(t - P), with
-    t = (a_j - a_i + delta) mod P and L(s) = max(0, min(u, s + v) - max(0, s))
-    the overlap of [0, u) with [s, s + v). Rows of (..., k) starts and widths
-    give (..., D) values for D deltas. The pairs are added one after another,
-    so a mask's value does not depend on the batch it comes in. Rotating M
-    changes nothing, so the pattern's own rotation never enters.
+    Each pair of arcs adds L(t) + L(t - P), the overlap L(s) of [0, u) with
+    [s, s + v), at t = (a_j - a_i + delta) mod P. As x = (a_j - a_i) +
+    (delta mod P) lies in [-P, 2P], adding P below 0 and subtracting it from
+    P up gives np.mod's float (Sterbenz's lemma makes the subtraction exact;
+    t = P, which x = 2P leaves, gives the same pair value as t = 0). On
+    t in [0, P], L(t) = max(0, min(u, t + v) - t) and
+    L(t - P) = max(0, min(u, t - P + v)).
+    The terms are laid out as (k, k, D, rows), and the pairs are added one
+    after another, so a mask's value does not depend on its batch.
     """
     a, u = np.asarray(starts), np.asarray(widths)
-    u_i, v_j = u[..., :, None, None], u[..., None, :, None]
-    t = np.mod(a[..., None, :, None] - a[..., :, None, None] + np.asarray(deltas), period)
-
-    def overlap(s):
-        return np.maximum(0, np.minimum(u_i, s + v_j) - np.maximum(0, s))
-
-    pairs = overlap(t) + overlap(t - period)
-    pairs = pairs.reshape(pairs.shape[:-3] + (-1, pairs.shape[-1]))
-    return np.add.accumulate(pairs, axis=-2)[..., -1, :]
+    if not (a.min() >= 0 and a.max() <= period):
+        raise ValueError(f"covariogram starts must lie in [0, {period}]")
+    lead, k = a.shape[:-1], a.shape[-1]
+    a, u = (np.ascontiguousarray(x.reshape(-1, k).T) for x in (a, u))
+    u_i, v_j = u[:, None, None, :], u[None, :, None, :]
+    t = (a[None, :, None, :] - a[:, None, None, :]) + np.mod(np.asarray(deltas), period)[:, None]
+    below, above = t < 0, t >= period
+    np.add(t, period, out=t, where=below)
+    np.subtract(t, period, out=t, where=above)
+    del below, above
+    near = np.add(t, v_j)  # L(t)
+    np.minimum(u_i, near, out=near)
+    np.subtract(near, t, out=near)
+    np.maximum(0, near, out=near)
+    np.subtract(t, period, out=t)  # L(t - P)
+    np.add(t, v_j, out=t)
+    np.minimum(u_i, t, out=t)
+    np.maximum(0, t, out=t)
+    pairs = np.add(near, t, out=near).reshape((k * k,) + near.shape[2:])
+    total = pairs[0]
+    for pair in pairs[1:]:
+        total += pair
+    return total.T.reshape(lead + (len(total),))
 
 
 def _arcs(sectors):
@@ -108,34 +120,24 @@ def _displaced(starts, widths, deltas, period=TWO_PI):
     lead, a, u = a.shape[:-1], a.reshape(-1, k), u.reshape(-1, k)
     n_deltas = max(1, min(d.size, _COVARIOGRAM_ELEMENTS // (k * k) - 1))
     n_rows = max(1, _COVARIOGRAM_ELEMENTS // (k * k * (n_deltas + 1)))
-
-    def block(r, j):
-        c = covariogram(a[r:r + n_rows], u[r:r + n_rows],
-                        np.insert(d[j:j + n_deltas], 0, 0), period)
-        return c[:, :1] - c[:, 1:]
-
-    return np.block([[block(r, j) for j in range(0, d.size, n_deltas)]
-                     for r in range(0, len(a), n_rows)]).reshape(lead + (d.size,))
-
-
-def displaced_measure(mask, alpha: float) -> float:
-    """measure(M \\ (M + alpha)) for the mask's delayed region M."""
-    return float(_displaced(*_arcs(mask.sectors), (alpha,))[0])
+    blocks = [(j, np.concatenate(([0], d[j:j + n_deltas])))
+              for j in range(0, d.size, n_deltas)]
+    out = np.empty((len(a), d.size), np.result_type(a, u, d, period))
+    for r in range(0, len(a), n_rows):
+        for j, block in blocks:
+            c = covariogram(a[r:r + n_rows], u[r:r + n_rows], block, period)
+            out[r:r + n_rows, j:j + n_deltas] = c[:, :1] - c[:, 1:]
+    return out.reshape(lead + (d.size,))
 
 
 def _mask_amplitude(m, phi):
     return 1.0 - (m / math.pi) * (1.0 - math.cos(phi))
 
 
-def binary_mask_overlap(mask, alpha: float) -> complex:
-    """Overlap between a binary-mask state and its rotation by alpha:
-    1 - (m/pi)(1 - cos(phi)) with m = measure(M \\ (M+alpha))."""
-    return complex(_mask_amplitude(displaced_measure(mask, alpha), mask.phi))
-
-
 def binary_mask_probabilities(phi, starts, widths, deltas):
-    """|binary_mask_overlap|^2 at each delta for each row of (..., k) arc
-    starts and widths: the fringes of a batch of masks, shape (..., D)."""
+    """|1 - (m/pi)(1 - cos(phi))|^2, m = measure(M \\ (M + delta)), at each
+    delta for each row of (..., k) arc starts and widths: the fringes of a
+    batch of masks, shape (..., D)."""
     amplitude = _mask_amplitude(_displaced(starts, widths, deltas), phi)
     return amplitude * amplitude
 

@@ -1,7 +1,7 @@
 """Tests for the closed-form rotation-overlap laws of all plate families."""
 
-import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oamsim import bell
+from oamsim import bell, overlap
 from oamsim.angular import TWO_PI, inner_product, wrap_angle
 from oamsim.bell import (
     POLARIZATION_SETTINGS,
@@ -20,13 +20,12 @@ from oamsim.bell import (
     evaluate_mask,
 )
 from oamsim.overlap import (
-    binary_mask_overlap,
+    _arcs,
+    _displaced,
     binary_mask_probabilities,
     closed_form_probability,
     covariogram,
-    displaced_measure,
     sample_curve,
-    spiral_overlap_amplitude,
     spiral_overlap_probability,
     step_overlap_amplitude,
     step_overlap_probability,
@@ -47,15 +46,6 @@ def test_spiral_probability_matches_direct_inner_product():
         for alpha in (0.3, 1.0, math.pi / 2, math.pi, 4.5):
             direct = abs(_direct_overlap(Spiral(2 + lam), alpha)) ** 2
             assert spiral_overlap_probability(lam, alpha) == pytest.approx(direct, abs=1e-12)
-
-
-def test_spiral_amplitude_matches_rotated_basis_state():
-    # the amplitude carries the phase of the rotated plate state,
-    # psi(theta - alpha)
-    l, j, lam = 1, 2, 0.5
-    for alpha in (0.5, math.pi / 2, 3.0):
-        direct = _direct_overlap(Spiral(l + j + lam), alpha)
-        assert spiral_overlap_amplitude(l + j, lam, alpha) == pytest.approx(direct, abs=1e-12)
 
 
 def test_spiral_lambda_zero_is_constant_one():
@@ -101,6 +91,12 @@ def test_step_pi_fringe_has_period_pi():
 def test_step_phi_zero_is_identity():
     for alpha in (0.5, 2.0, 5.0):
         assert step_overlap_probability(0.0, alpha) == pytest.approx(1.0, abs=1e-14)
+
+
+def displaced_measure(mask, delta):
+    """measure(M \\ (M + delta)) of the mask's sectors, from the kernel the
+    fringes use."""
+    return float(_displaced(*_arcs(mask.sectors), (delta,))[0])
 
 
 def test_displaced_measure_simple_sector():
@@ -215,20 +211,143 @@ def test_covariogram_serves_floats_and_fractions():
     assert exact[3] == Fraction(5, 4)  # delta = 0: the mask's own measure
 
 
+def _covariogram_reference(starts, widths, deltas, period=TWO_PI):
+    """The covariogram as first written: np.mod over the whole grid, both
+    L(s) = max(0, min(u, s + v) - max(0, s)) passes, a (..., k, k, D)
+    layout and the pair sum by np.add.accumulate."""
+    a, u = np.asarray(starts), np.asarray(widths)
+    u_i, v_j = u[..., :, None, None], u[..., None, :, None]
+    t = np.mod(a[..., None, :, None] - a[..., :, None, None] + np.asarray(deltas), period)
+
+    def overlap_at(s):
+        return np.maximum(0, np.minimum(u_i, s + v_j) - np.maximum(0, s))
+
+    pairs = overlap_at(t) + overlap_at(t - period)
+    pairs = pairs.reshape(pairs.shape[:-3] + (-1, pairs.shape[-1]))
+    return np.add.accumulate(pairs, axis=-2)[..., -1, :]
+
+
+_BELOW_TWO_PI = math.nextafter(TWO_PI, 0.0)
+# sixteen arcs, one row, one delta: numpy sums an outer axis in order but a
+# lone inner one pairwise, which moves the last bit of this value
+_SIXTEEN = np.sort(np.random.default_rng(0).uniform(0.0, TWO_PI, (1, 32)), axis=-1)
+
+
+@st.composite
+def _arc_batches(draw, boundary, delta, dtype):
+    """(starts, widths, deltas): 1-4 rows of 1-16 arcs, each row sorted
+    boundaries paired as the search pairs them, some boundaries copied
+    onto the next so that sectors touch or have zero width."""
+    k = draw(st.integers(min_value=1, max_value=16))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    values = draw(st.lists(boundary, min_size=rows * 2 * k, max_size=rows * 2 * k))
+    b = np.sort(np.array(values, dtype=dtype).reshape(rows, 2 * k), axis=-1)
+    for j in draw(st.lists(st.integers(min_value=1, max_value=2 * k - 1), max_size=2 * k)):
+        b[:, j] = b[:, j - 1]
+    deltas = draw(st.lists(delta, min_size=1, max_size=12))
+    return b[:, 0::2], b[:, 1::2] - b[:, 0::2], np.array(deltas, dtype=dtype)
+
+
+_FLOAT_BOUNDARY = st.one_of(st.sampled_from((0.0, _BELOW_TWO_PI, TWO_PI)),
+                            st.floats(min_value=0.0, max_value=TWO_PI))
+_FLOAT_DELTA = st.one_of(st.sampled_from((0.0, _BELOW_TWO_PI)),
+                         st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True))
+_FRACTION_BOUNDARY = st.fractions(min_value=0, max_value=2, max_denominator=24)
+_FRACTION_DELTA = st.fractions(min_value=0, max_value=2, max_denominator=24).filter(
+    lambda t: t < 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arcs=_arc_batches(_FLOAT_BOUNDARY, _FLOAT_DELTA, float))
+@example(arcs=(np.array([[0.0, _BELOW_TWO_PI]]), np.array([[0.0, TWO_PI - _BELOW_TWO_PI]]),
+               np.array([0.0, _BELOW_TWO_PI])))
+@example(arcs=(np.array([[0.0, TWO_PI]]), np.array([[1.0, 0.0]]),
+               np.array([_BELOW_TWO_PI, 0.0])))
+@example(arcs=(np.array([[0.0, 1.0, 2.0]]), np.array([[1.0, 1.0, 0.0]]),
+               np.array([0.0, 1.0, 5.0, _BELOW_TWO_PI])))
+@example(arcs=(_SIXTEEN[:, 0::2], _SIXTEEN[:, 1::2] - _SIXTEEN[:, 0::2], np.array([1.0])))
+def test_covariogram_equals_its_reference_bit_for_bit(arcs):
+    # wrapping only the deltas and laying the rows innermost must not move
+    # a single float, signed zeros included
+    starts, widths, deltas = arcs
+    got = covariogram(starts, widths, deltas)
+    expected = _covariogram_reference(starts, widths, deltas)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@settings(max_examples=30, deadline=None)
+@given(arcs=_arc_batches(_FRACTION_BOUNDARY, _FRACTION_DELTA, object))
+def test_covariogram_equals_its_reference_on_fractions(arcs):
+    starts, widths, deltas = arcs
+    got = covariogram(starts, widths, deltas, 2)
+    assert np.array_equal(got, _covariogram_reference(starts, widths, deltas, 2))
+
+
+def test_covariogram_rejects_starts_outside_the_period():
+    widths = np.array([0.5, 0.5])
+    for bad in (-0.1, TWO_PI + 0.1, math.nan):
+        with pytest.raises(ValueError, match="starts must lie in"):
+            covariogram(np.array([1.0, bad]), widths, (0.0,))
+    with pytest.raises(ValueError, match="starts must lie in"):
+        covariogram(np.array([Fraction(1), Fraction(-1, 8)]), widths, (Fraction(0),), 2)
+
+
+def test_covariogram_wraps_any_delta():
+    # a delta outside [0, period) gives exactly the value at its wrapped angle
+    starts, widths = np.array([[0.5, 3.0], [0.0, 4.0]]), np.array([[1.5, 1.0], [2.0, 2.0]])
+    deltas = (-1.0, TWO_PI + 2.5, 1e6)
+    got = covariogram(starts, widths, deltas)
+    wrapped = covariogram(starts, widths, [wrap_angle(d) for d in deltas])
+    assert np.array_equal(got, wrapped)
+    exact_starts = np.array([Fraction(0), Fraction(1, 2)])
+    exact_widths = np.array([Fraction(1, 4), Fraction(1)])
+    exact_deltas = (Fraction(-1), Fraction(2) + Fraction(5, 6), Fraction(10 ** 6, 3))
+    got = covariogram(exact_starts, exact_widths, exact_deltas, 2)
+    wrapped = covariogram(exact_starts, exact_widths, [t % 2 for t in exact_deltas], 2)
+    assert np.array_equal(got, wrapped)
+
+
+def test_covariogram_peak_memory_at_the_element_cap():
+    # a call at the cap (k = 4, D = 10) holds t and L(t) at once (16 B an
+    # element), or t alone while it is built, with numpy's iterator buffers
+    # of up to 2**13 float64s for each broadcast operand (8 B an element at
+    # this size, twice while t is built). The bound adds 2 B an element for
+    # the (k, k, rows) differences, the transposed arcs and the sum; a third
+    # live array of the grid adds 8.
+    k, n_deltas = 4, 10
+    rows = overlap._COVARIOGRAM_ELEMENTS // (k * k * (n_deltas + 1))
+    n = rows * k * k * (n_deltas + 1)
+    rng = np.random.default_rng(0)
+    b = np.sort(rng.uniform(0.0, TWO_PI, (rows, 2 * k)), axis=-1)
+    args = (b[:, 0::2], b[:, 1::2] - b[:, 0::2],
+            np.concatenate(([0.0], rng.uniform(0.0, TWO_PI, n_deltas))))
+    covariogram(*args)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        covariogram(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 26 * n, f"peak {peak / n:.2f} B an element"
+
+
 def test_binary_mask_overlap_matches_direct():
     mask = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)))
-    for alpha in (0.3, math.pi / 4, 1.9, math.pi):
-        direct = _direct_overlap(mask, alpha)
-        assert binary_mask_overlap(mask, alpha) == pytest.approx(direct, abs=1e-12)
+    alphas = (0.3, math.pi / 4, 1.9, math.pi)
+    fringe = binary_mask_probabilities(mask.phi, *_arcs(mask.sectors), alphas)
+    for alpha, p in zip(alphas, fringe):
+        assert p == pytest.approx(abs(_direct_overlap(mask, alpha)) ** 2, abs=1e-12)
 
 
 def test_step_agrees_with_equivalent_binary_mask():
     phi = 2.0
     mask = BinarySectors(phi, ((0.0, math.pi),))
-    for alpha in (0.5, 1.5, 3.0):
-        assert abs(binary_mask_overlap(mask, alpha)) ** 2 == pytest.approx(
-            step_overlap_probability(phi, alpha), abs=1e-12
-        )
+    alphas = (0.5, 1.5, 3.0)
+    fringe = binary_mask_probabilities(phi, *_arcs(mask.sectors), alphas)
+    for alpha, p in zip(alphas, fringe):
+        assert p == pytest.approx(step_overlap_probability(phi, alpha), abs=1e-12)
 
 
 def test_closed_form_probability_dispatch():
