@@ -31,10 +31,10 @@ import sys
 from . import bell, lgfield, oracle, overlap, plates, twophoton
 
 # upper bounds of the sizing flags: each keeps one run's time and memory
-# bounded (a --grid of N holds at most three N x N complex arrays, 768 MiB
-# at 4096; --budget and --sectors set the search's mask evaluations and their
-# size; --samples the rows of a fringe; --p-max and --l-halfwidth the rows
-# of a decomposition)
+# bounded (a --grid of N holds at most one and a half N x N complex arrays,
+# 384 MiB at 4096; --budget and --sectors set the search's mask evaluations
+# and their size; --samples the rows of a fringe; --p-max and --l-halfwidth
+# the rows of a decomposition)
 LIMITS = {
     "budget": 1_000_000,
     "sectors": 16,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import oam_spectrum
+from .angular import TWO_PI, oam_spectrum
 from .plates import Spiral, plate_state, profile
 
 
@@ -213,12 +213,11 @@ _POLE = math.sqrt(3.0) - 2.0
 _PAD = 12
 
 
-def _spline_prefilter(samples: np.ndarray) -> np.ndarray:
+def _spline_prefilter(c: np.ndarray) -> np.ndarray:
     """Cubic B-spline coefficients along axis 0 that interpolate the
-    samples: the gain, then a causal and an anticausal first-order
-    recursion, each started as for a signal mirrored about its end points
-    with the end samples repeated."""
-    c = np.array(samples, dtype=float, order="C")
+    samples c, in place: the gain, then a causal and an anticausal
+    first-order recursion, each started as for a signal mirrored about its
+    end points with the end samples repeated."""
     n = c.shape[0]
     z = _POLE
     c *= (1.0 - z) * (1.0 - 1.0 / z)
@@ -239,7 +238,7 @@ def _cubic_spline_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) 
     B-spline interpolation with the edge pixels repeated beyond the image
     (what ``scipy.ndimage.map_coordinates(order=3, mode="nearest")``
     computes)."""
-    coeffs = _spline_prefilter(np.pad(image, _PAD, mode="edge"))
+    coeffs = _spline_prefilter(np.pad(np.asarray(image, dtype=float), _PAD, mode="edge"))
     taps, weights = [], []
     for x, size in ((rows, coeffs.shape[0]), (cols, coeffs.shape[1])):
         x = np.asarray(x, dtype=float) + _PAD
@@ -252,7 +251,7 @@ def _cubic_spline_sample(image: np.ndarray, rows: np.ndarray, cols: np.ndarray) 
     # the filter along a row reads that row alone, so it runs on the rows
     # the samples tap and on no other
     rows_read, row_taps = np.unique(taps[0], return_inverse=True)
-    coeffs = _spline_prefilter(coeffs[rows_read].T).T
+    coeffs = _spline_prefilter(np.ascontiguousarray(coeffs[rows_read].T)).T
     values = coeffs[row_taps.reshape(taps[0].shape)[:, None, :], taps[1][None, :, :]]
     return np.einsum("am,bm,abm->m", weights[0], weights[1], values)
 
@@ -264,7 +263,8 @@ def peak_radius(intensity: np.ndarray) -> float:
     # r^2 is an exact integer (plus 1/2 for odd n), at least 1/4 from any
     # (m + 1/2)^2, so a sqrt off by an ulp still rounds to the right bin
     square = (np.arange(n) - n / 2.0) ** 2
-    bins = np.rint(np.sqrt(square[:, None] + square[None, :])).astype(int)
+    bins = np.add.outer(square, square)
+    bins = np.rint(np.sqrt(bins, out=bins), out=bins).astype(int)
     maxbin = n // 2
     sums = np.bincount(bins.ravel(), weights=intensity.ravel(), minlength=maxbin + 1)
     counts = np.bincount(bins.ravel(), minlength=maxbin + 1)
@@ -306,8 +306,14 @@ def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
     gauss = np.exp(-(coords**2))
     # |profile| = 1, so |field|^2 sums to 1, and so does its unitary transform
     amplitude = gauss / math.sqrt(math.fsum(gauss**2)) * (-1.0) ** np.arange(n)
-    field = profile(plate, np.arctan2(coords[:, None], coords[None, :]))
+    # arctan2 lies in [-pi, pi]: adding 2*pi to its negative angles is np.mod
+    theta = np.arctan2(coords[:, None], coords[None, :])
+    field = profile(plate, np.add(theta, TWO_PI, out=theta, where=theta < 0.0))
+    del theta
     field *= amplitude[:, None]
     field *= amplitude[None, :]
-    spectrum = np.fft.fft2(field, norm="ortho")
-    return FarFieldImage(spectrum.real**2 + spectrum.imag**2, extent, plate)
+    for axis in (1, 0):  # fft2's axis order, each pass in place
+        np.fft.fft(field, axis=axis, norm="ortho", out=field)
+    intensity = np.square(field.real)
+    intensity += np.square(field.imag, out=field.imag)
+    return FarFieldImage(intensity, extent, plate)

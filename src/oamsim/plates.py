@@ -150,16 +150,20 @@ def _pieces(plate):
 def profile(plate, theta) -> np.ndarray:
     """The plate's unimodular phase factor at angle(s) theta."""
     shift, boundaries, factors = _pieces(plate)
-    t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
-    fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
+    t = np.asarray(theta, dtype=float)
+    # np.mod leaves angles in [0, 2*pi) as they are; NaN fails both tests
+    if not (np.min(t, initial=0.0) >= 0.0 and np.max(t, initial=0.0) < TWO_PI):
+        t = np.mod(t, TWO_PI)
+    if shift == 0.0 or factors != (1.0,):
+        fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
     if shift != 0.0:
-        # cos + i*sin in one complex temporary, the phase staged in its real
-        # part; [()] keeps scalars
+        # cos + i*sin in one complex array, the phase staged in its real part,
+        # times the factors unless the plate is one unit piece; [()] keeps scalars
         phasor = np.empty(np.shape(t), complex)
         np.multiply(t, shift, out=phasor.real)
         np.sin(phasor.real, out=phasor.imag)
         np.cos(phasor.real, out=phasor.real)
-        fac *= phasor[()]
+        fac = phasor[()] if factors == (1.0,) else np.multiply(fac, phasor, out=phasor)[()]
     return fac
 
 

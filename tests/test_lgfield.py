@@ -10,11 +10,11 @@ from scipy.ndimage import map_coordinates
 from scipy.special import roots_genlaguerre
 
 from oamsim import lgfield, oracle
-from oamsim.angular import oam_spectrum
+from oamsim.angular import TWO_PI, oam_spectrum
 from oamsim.cli import main
 from oamsim.lgfield import (
     _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
-from oamsim.plates import BinarySectors, Spiral, Step, plate_state, profile
+from oamsim.plates import BinarySectors, Spiral, Step, _pieces, plate_state, profile
 
 
 def _analytic_radial_overlap(l, p):
@@ -277,36 +277,129 @@ def test_far_field_is_the_centred_transform(plate):
     assert float(np.max(np.abs(got - expected))) <= 1e-13 * float(np.max(expected))
 
 
+def _mod_and_searchsorted_profile(plate, theta):
+    """The reference profile: np.mod over every angle, then the factor
+    gather for every plate."""
+    shift, boundaries, factors = _pieces(plate)
+    t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
+    fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
+    if shift != 0.0:
+        phasor = np.empty(np.shape(t), complex)
+        np.multiply(t, shift, out=phasor.real)
+        np.sin(phasor.real, out=phasor.imag)
+        np.cos(phasor.real, out=phasor.real)
+        fac *= phasor[()]
+    return fac
+
+
+def _fft2_kernel_intensity(plate, n, extent):
+    """The reference far-field intensity: that profile, fft2, then
+    re**2 + im**2, each step into a fresh grid."""
+    coords = (np.arange(n) - n / 2.0 + 0.5) * (2.0 * extent / n)
+    gauss = np.exp(-(coords**2))
+    amplitude = gauss / math.sqrt(math.fsum(gauss**2)) * (-1.0) ** np.arange(n)
+    field = _mod_and_searchsorted_profile(plate, np.arctan2(coords[:, None], coords[None, :]))
+    field *= amplitude[:, None]
+    field *= amplitude[None, :]
+    spectrum = np.fft.fft2(field, norm="ortho")
+    return spectrum.real**2 + spectrum.imag**2
+
+
+def _four_grid_peak_radius(intensity):
+    """The reference peak_radius, with a fresh grid for every step."""
+    n = intensity.shape[0]
+    square = (np.arange(n) - n / 2.0) ** 2
+    bins = np.rint(np.sqrt(square[:, None] + square[None, :])).astype(int)
+    maxbin = n // 2
+    sums = np.bincount(bins.ravel(), weights=intensity.ravel(), minlength=maxbin + 1)
+    counts = np.bincount(bins.ravel(), minlength=maxbin + 1)
+    mean = sums[: maxbin + 1] / np.maximum(counts[: maxbin + 1], 1)
+    best = int(np.argmax(mean))
+    if best >= 2:
+        return float(best)
+    half = mean[0] / 2.0
+    below = np.nonzero(mean < half)[0]
+    return float(below[0]) if len(below) else float(maxbin // 2)
+
+
+def _image_metrics(image):
+    return (peak_radius(image.intensity), image.azimuthal_variance(),
+            image.asymmetry_metric(), image.on_axis_ratio())
+
+
+@pytest.mark.parametrize("n, extent", [(128, 8.0), (128, 32.0), (256, 16.0), (512, 128.0)])
+@pytest.mark.parametrize("plate", [*_FAR_FIELD_PLATES, Spiral(-1.7), Spiral(3.5, alpha=2.0)],
+                         ids=repr)
+def test_far_field_equals_the_fft2_kernel_bit_for_bit(plate, n, extent, monkeypatch):
+    image = far_field(plate, n=n, extent=extent)
+    expected = lgfield.FarFieldImage(_fft2_kernel_intensity(plate, n, extent), extent, plate)
+    assert np.array_equal(image.intensity, expected.intensity)
+    got = _image_metrics(image)
+    # the reference metrics: that peak radius, and the spline prefilter on
+    # a fresh C-ordered copy of its input
+    prefilter = lgfield._spline_prefilter
+    monkeypatch.setattr(lgfield, "peak_radius", _four_grid_peak_radius)
+    monkeypatch.setattr(lgfield, "_spline_prefilter",
+                        lambda samples: prefilter(np.array(samples, dtype=float, order="C")))
+    assert np.array_equal(got, _image_metrics(expected))
+
+
+def test_profile_equals_the_mod_and_searchsorted_kernel_bit_for_bit():
+    # the plates' edges and the ends of the turn among the angles inside it
+    edges = [0.0, 0.3, 1.0, 2.0, math.pi / 4, math.pi / 2, np.nextafter(TWO_PI, 0.0)]
+    inside = np.concatenate([np.linspace(0.0, TWO_PI, 3993, endpoint=False), edges])
+    outside = np.concatenate([np.linspace(-7.0, 13.0, 2001), [TWO_PI, -1e-300]])
+    for plate in (*_FAR_FIELD_PLATES, Spiral(-1.7), Spiral(3.5, alpha=2.0)):
+        for thetas in (inside, outside, inside.reshape(40, 100), [-1e-300, 1.0], [1.0, TWO_PI],
+                       1.2, 7.0):
+            got, expected = profile(plate, thetas), _mod_and_searchsorted_profile(plate, thetas)
+            assert np.shape(got) == np.shape(expected)
+            assert np.array_equal(got, expected), plate
+
+
 def test_far_field_without_the_sign_pattern_is_not_centred(monkeypatch):
-    # undoing the (-1)^(i+j) pattern at the FFT's input leaves the
-    # uncentred transform, which the comparison above must reject
+    # undoing the (-1)^(i+j) pattern at the input of the first axis pass
+    # leaves the uncentred transform, which the comparison above must reject
     plate, n = Spiral(3.5), 256
     expected = _centred_transform_image(plate, n)
     sign = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, -1.0, 1.0)
-    fft2 = np.fft.fft2
-    monkeypatch.setattr(lgfield.np.fft, "fft2", lambda a, **kw: fft2(a * sign, **kw))
+    fft, passes = np.fft.fft, []
+
+    def fft_without_the_signs(a, **kw):
+        passes.append(kw.get("axis"))
+        return fft(a * sign if len(passes) == 1 else a, **kw)
+
+    monkeypatch.setattr(lgfield.np.fft, "fft", fft_without_the_signs)
     got = far_field(plate, n=n).intensity
+    assert passes == [1, 0]
     assert float(np.max(np.abs(got - expected))) > 0.5 * float(np.max(expected))
 
 
-def test_far_field_keeps_at_most_three_grids_alive():
-    # the kernel's largest live set is three n x n complex grids (16 B a
-    # pixel), inside the plate profile: the angle and the wrapped angle
-    # (real, half a grid each), the factor and the phase. The FFT holds three
-    # too: its input and the outputs of its two axis passes; the intensity
-    # then squares the spectrum's two real halves, half a grid each.
+def test_far_field_peak_stays_within_its_live_grids():
+    # live sets in n x n complex grids (16 B a pixel), read step by step
+    # under tracemalloc. The FFT's axis passes run in place and add only
+    # 1-D buffers; the intensity then takes half a grid beside the spectrum.
     # The bound adds a quarter grid for the 1-D vectors and bookkeeping; a
-    # meshgrid or a shift copy adds a whole grid.
+    # meshgrid, a shift copy or an FFT output grid adds half a grid or more
     n = 512
     grid = 16 * n * n
-    far_field(Spiral(3.5), n=n)  # first-call set-up outside the measurement
-    tracemalloc.start()
-    try:
-        far_field(Spiral(3.5), n=n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * grid, f"peak {peak / grid:.2f} complex grids"
+    for plate, live in (
+        # the angles (real, half a grid) and the phasor built from them
+        (Spiral(3.5), 1.5),
+        # the angles, the index array (half a grid) and the factors it gathers
+        (Step(math.pi / 2, alpha=0.3), 2.0),
+        # the angles, the gathered factors once the index array is freed,
+        # and the phasor they are multiplied by
+        (Spiral(1.5, alpha=1.0), 2.5),
+    ):
+        far_field(plate, n=n)  # first-call set-up outside the measurement
+        tracemalloc.start()
+        try:
+            far_field(plate, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (live + 0.25) * grid, f"{plate}: peak {peak / grid:.2f} complex grids"
 
 
 def test_far_field_vortex_has_on_axis_null():
