@@ -54,10 +54,13 @@ class AngularGrid:
     def thetas(self) -> np.ndarray:
         return np.arange(self.n_points) * self.spacing
 
+    def nearest_index(self, theta: float) -> int:
+        """Index k of the grid node closest to ``theta`` (wrapped)."""
+        return round(wrap_angle(theta) / self.spacing) % self.n_points
+
     def nearest_node(self, theta: float) -> float:
         """Grid angle closest to ``theta`` (wrapped)."""
-        k = round(wrap_angle(theta) / self.spacing) % self.n_points
-        return k * self.spacing
+        return self.nearest_index(theta) * self.spacing
 
 
 @dataclass(frozen=True)

@@ -193,10 +193,12 @@ class FarFieldImage:
     def write_pgm(self, path):
         """16-bit binary PGM with linear intensity scaling."""
         scale = 65535.0 / max(float(np.max(self.intensity)), 1e-300)
-        data = np.round(self.intensity * scale).astype(">u2")
+        # one scratch float grid, rounded in place, then the 16-bit grid
+        scaled = np.multiply(self.intensity, scale)
+        data = np.rint(scaled, out=scaled).astype(">u2")
         with open(path, "wb") as fh:
             fh.write(f"P5\n{self.n} {self.n}\n65535\n".encode())
-            fh.write(data.tobytes())
+            fh.write(data)
 
     def write_sidecar(self, path):
         from .plates import to_dict
@@ -221,10 +223,14 @@ def _spline_prefilter(c: np.ndarray) -> np.ndarray:
     n = c.shape[0]
     z = _POLE
     c *= (1.0 - z) * (1.0 - 1.0 / z)
-    # |z|^64 < 1e-36: later terms of the starting sum are below rounding
-    powers = z ** np.arange(min(n, 64))
-    k = len(powers)
-    c[0] += z / (1.0 - z ** (2 * n)) * (powers @ c[:k] + z**n * (powers @ c[::-1][:k]))
+    # |z|^64 < 1e-36: later terms of the starting sum are below rounding.
+    # The sum runs row by row, in one order for every column, so a column's
+    # coefficients do not depend on the columns filtered with it or on BLAS
+    head, tail = np.zeros(c.shape[1:]), np.zeros(c.shape[1:])
+    for j, power in enumerate(z ** np.arange(min(n, 64))):
+        head += power * c[j]
+        tail += power * c[n - 1 - j]
+    c[0] += z / (1.0 - z ** (2 * n)) * (head + z**n * tail)
     for i in range(1, n):
         c[i] += z * c[i - 1]
     c[-1] *= z / (z - 1.0)

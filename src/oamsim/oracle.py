@@ -9,7 +9,9 @@ Rotation angles are snapped to grid nodes before comparison so that, for
 plates whose edges lie on nodes, every phase jump of the integrand does too;
 the midpoint rule is then exact for the piecewise-constant products that
 arise, and the 1e-8 default tolerance sits far above the resulting
-floating-point floor.
+floating-point floor. A rotation by k nodes maps the cell midpoints onto
+each other, so the rotated plate's samples are the unrotated plate's
+shifted by k cells, and every rotation of a plate reads one set of samples.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,22 +91,22 @@ def geometric_profile(plate, thetas) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _unrotated(plate, grid: AngularGrid):
-    """(midpoints, samples) of the unrotated plate on the grid's cells,
+def _unrotated(plate, grid: AngularGrid) -> np.ndarray:
+    """Samples of the unrotated plate at the midpoints of the grid's cells,
     read-only. One entry: the sweeps rotate one plate many times in a row."""
-    mids = grid.thetas + 0.5 * grid.spacing
-    samples = geometric_profile(plate, mids)
-    mids.flags.writeable = False
+    samples = geometric_profile(plate, grid.thetas + 0.5 * grid.spacing)
     samples.flags.writeable = False
-    return mids, samples
+    return samples
 
 
 def quadrature_overlap_probability(plate, alpha: float, grid: AngularGrid) -> float:
     """|<state(plate)|state(plate rotated by alpha)>|^2 by the midpoint rule
-    on the grid's cells; the rotated plate is sampled afresh on every call."""
-    mids, p0 = _unrotated(plate, grid)
-    p1 = geometric_profile(replace(plate, alpha=plate.alpha + alpha), mids)
-    return abs(complex(np.vdot(p0, p1)) / grid.n_points) ** 2
+    on the grid's cells, at the node nearest alpha. Rotated by k nodes, the
+    plate's sample at midpoint j is its unrotated sample at j - k (mod n)."""
+    p0 = _unrotated(plate, grid)
+    n, k = grid.n_points, grid.nearest_index(alpha)
+    amplitude = np.vdot(p0[k:], p0[:n - k]) + np.vdot(p0[:k], p0[n - k:])
+    return abs(complex(amplitude) / n) ** 2
 
 
 def _require_resolvable(plate, tolerance):
@@ -155,8 +157,7 @@ def verify_bell(plate, settings: BellSettings = SPIRAL_SETTINGS,
     grid = grid or AngularGrid()
     closed = chsh_s(lambda d: fringe_probability(plate, d), settings).s
     oracle = chsh_s(
-        lambda d: quadrature_overlap_probability(plate, grid.nearest_node(d), grid),
-        settings).s
+        lambda d: quadrature_overlap_probability(plate, d, grid), settings).s
     name = f"bell[{type(plate).__name__.lower()}]"
     return _report(name, closed, oracle, grid, tolerance)
 

@@ -46,6 +46,21 @@ def test_nearest_node_wraps():
     assert g.nearest_node(g.spacing * 3 + 1e-9) == pytest.approx(g.spacing * 3)
 
 
+@pytest.mark.parametrize("n", [4096, 97])
+def test_nearest_node_is_the_nearest_index_times_the_spacing(n):
+    g = AngularGrid(n)
+    h = g.spacing
+    thetas = np.random.default_rng(18).uniform(-20.0, 20.0, 10_000).tolist()
+    thetas += [-0.0, TWO_PI - 1e-16] + [k * h + s * h / 2 for k in range(-n, 2 * n)
+                                         for s in (-1, 1)]
+    for theta in thetas:
+        k = g.nearest_index(theta)
+        assert type(k) is int and 0 <= k < n
+        # the snapping rule as it stood before the index was split out
+        node = round(wrap_angle(theta) / h) % n * h
+        assert g.nearest_node(theta).hex() == (k * h).hex() == node.hex(), theta
+
+
 def test_integer_mode_orthonormal():
     for l in range(-4, 5):
         for m in range(-4, 5):

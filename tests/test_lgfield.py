@@ -428,9 +428,37 @@ def test_far_field_pgm_and_sidecar(tmp_path):
     image = far_field(Spiral(1.0), n=128, extent=8.0)
     pgm = tmp_path / "field.pgm"
     image.write_pgm(pgm)
-    data = pgm.read_bytes()
-    assert data.startswith(b"P5\n128 128\n65535\n")
-    assert len(data) == len(b"P5\n128 128\n65535\n") + 128 * 128 * 2
+    pixels = np.round(image.intensity * (65535.0 / np.max(image.intensity))).astype(">u2")
+    assert pgm.read_bytes() == b"P5\n128 128\n65535\n" + pixels.tobytes()
     sidecar = tmp_path / "field.pgm.json"
     image.write_sidecar(sidecar)
     assert '"grid": 128' in sidecar.read_text()
+
+
+def test_spline_prefilter_of_any_column_subset_equals_those_columns():
+    # the starting sum runs in one order for every column, so a column's
+    # coefficients do not depend on which columns are filtered beside it
+    rng = np.random.default_rng(18)
+    for rows in (40, 300):  # a starting sum over every row, and over 64 of them
+        samples = rng.random((rows, 257))
+        full = lgfield._spline_prefilter(samples.copy())
+        for _ in range(50):
+            columns = np.sort(rng.choice(257, rng.integers(1, 257), replace=False))
+            part = lgfield._spline_prefilter(np.ascontiguousarray(samples[:, columns]))
+            assert np.array_equal(part, full[:, columns]), (rows, columns)
+
+
+def test_pgm_keeps_one_scratch_grid(tmp_path):
+    # the scaled intensity, rounded in place, plus its 16-bit copy: 1.25
+    # float grids; rounding into a second grid would add one more
+    n = 512
+    image = far_field(Spiral(3.5), n=n)
+    image.write_pgm(tmp_path / "warm.pgm")  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        image.write_pgm(tmp_path / "field.pgm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 8 * n * n
+    assert peak <= 1.25 * grid + 65536, f"peak {peak / grid:.3f} float grids"

@@ -3,6 +3,7 @@
 import ast
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,13 +107,11 @@ def test_cached_samples_follow_the_plate():
                 assert verify_overlap(plate, alpha) == report, (plate, alpha)
                 assert oracle._unrotated.cache_info().currsize == 1
     assert oracle._unrotated.cache_info().maxsize == 1
-    mids, samples = oracle._unrotated(Spiral(2.3), AngularGrid())
-    for cached in (mids, samples):
-        with pytest.raises(ValueError):
-            cached[0] = 0.0
+    with pytest.raises(ValueError):
+        oracle._unrotated(Spiral(2.3), AngularGrid())[0] = 0.0
 
 
-def test_rotated_plate_is_sampled_on_every_call(monkeypatch):
+def test_each_plate_is_sampled_once_per_grid(monkeypatch):
     calls = []
     sample = oracle.geometric_profile
 
@@ -123,10 +122,55 @@ def test_rotated_plate_is_sampled_on_every_call(monkeypatch):
     monkeypatch.setattr(oracle, "geometric_profile", counted)
     oracle._unrotated.cache_clear()
     grid = AngularGrid(256)
-    for _ in range(3):
-        oracle.quadrature_overlap_probability(Spiral(0.5), 1.0, grid)
-    # the unrotated plate once, then the rotated plate read from its own fields each time
-    assert calls == [Spiral(0.5)] + [Spiral(0.5, 1.0)] * 3
+    for alpha in (0.5, 1.0, math.pi):
+        oracle.quadrature_overlap_probability(Spiral(0.5), alpha, grid)
+    # the rotations are shifts of the unrotated samples: one call for three
+    assert calls == [Spiral(0.5)]
+    oracle.quadrature_overlap_probability(Step(math.pi), 1.0, grid)
+    assert calls == [Spiral(0.5), Step(math.pi)]
+
+
+_SHIFT_PLATES = [
+    Spiral(0.5), Spiral(-2.25), Spiral(2.3, 1.0), Step(math.pi / 3), Step(math.pi, 5.0),
+    # the sweep's two-sector mask, and a mask whose second sector straddles 0
+    BinarySectors(math.pi, ((0.0, math.pi / 4), (math.pi / 2, 3 * math.pi / 4))),
+    BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)), 3 * math.pi / 4),
+]
+
+
+def _fresh_probability(plate, k, grid):
+    """The rotation overlap with the plate rotated by k nodes sampled anew."""
+    mids = grid.thetas + 0.5 * grid.spacing
+    rotated = geometric_profile(replace(plate, alpha=plate.alpha + k * grid.spacing), mids)
+    return abs(complex(np.vdot(geometric_profile(plate, mids), rotated)) / grid.n_points) ** 2
+
+
+@pytest.mark.parametrize("n, stride", [(256, 1), (97, 1), (4096, 7)])
+def test_shifted_samples_equal_the_freshly_sampled_rotation(n, stride):
+    grid = AngularGrid(n)
+    for plate in _SHIFT_PLATES:
+        if n % 2 and plate == Step(math.pi / 3):
+            continue  # its far edge lies on a midpoint: see the next test
+        for k in range(0, n, stride):
+            shifted = oracle.quadrature_overlap_probability(plate, k * grid.spacing, grid)
+            assert abs(shifted - _fresh_probability(plate, k, grid)) <= 2e-15, (plate, k)
+
+
+def test_edge_on_a_midpoint_is_read_alike_at_every_rotation():
+    # on an odd grid the edge pi of a node-aligned step lies exactly on a cell
+    # midpoint: sampled anew, each rotation reads that cell on whichever side
+    # rounding puts it, while the shifted samples read it the same way every
+    # time, so their symmetric difference is exactly 2*min(k, n - k) cells
+    grid = AngularGrid(97)
+    plate = Step(math.pi / 3)
+    shifted_error = fresh_error = 0.0
+    for k in range(grid.n_points):
+        closed = overlap.closed_form_probability(plate, k * grid.spacing)
+        shifted = oracle.quadrature_overlap_probability(plate, k * grid.spacing, grid)
+        shifted_error = max(shifted_error, abs(shifted - closed))
+        fresh_error = max(fresh_error, abs(_fresh_probability(plate, k, grid) - closed))
+    assert shifted_error <= 2e-15
+    assert fresh_error > 1e-3
 
 
 def test_verify_overlap_mask_straddling_zero():
