@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angular import TWO_PI, wrap_angle
-from .overlap import binary_mask_probabilities, closed_form_probability
+from .overlap import binary_mask_probabilities
 from .plates import BinarySectors, to_dict
 
 _PAIR_KEYS = ("a1a2", "a1pa2", "a1a2p", "a1pa2p")
@@ -227,11 +227,6 @@ def _mask_scorer(phi, settings):
         return np.where(valid & ~np.isnan(s), s, -math.inf)
 
     return score
-
-
-def evaluate_mask(mask: BinarySectors, settings: BellSettings = SPIRAL_SETTINGS) -> BellResult:
-    """Bell parameter of a given mask's coincidence fringe."""
-    return chsh_s(lambda d: closed_form_probability(mask, d), settings, fringe_id="binary-mask")
 
 
 def _descend(score, x, s, max_evals, step):

@@ -39,10 +39,12 @@ _COVARIOGRAM_ELEMENTS = 2 ** 13
 
 
 def spiral_overlap_probability(lam: float, alpha: float) -> float:
-    """(1 - alpha/pi)^2 sin^2(lam pi) + cos^2(lam pi); independent of n."""
+    """(1 - alpha/pi)^2 sin^2(lam pi) + 1 - sin^2(lam pi); independent of n.
+    sin(pi/2) is exactly 1.0, so a half-integer step gives the parabola bit
+    for bit, with its exact zero at alpha = pi."""
     a = wrap_angle(alpha)
-    s, c = math.sin(lam * math.pi), math.cos(lam * math.pi)
-    return (1.0 - a / math.pi) ** 2 * s * s + c * c
+    s = math.sin(lam * math.pi)
+    return (1.0 - a / math.pi) ** 2 * s * s + (1.0 - s * s)
 
 
 def step_overlap_amplitude(phi: float, alpha: float) -> float:

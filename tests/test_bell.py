@@ -17,13 +17,17 @@ from oamsim.bell import (
     DegenerateFringeError,
     chsh_s,
     chsh_s_exact,
-    evaluate_mask,
     s4_certificate,
     search_max_s,
 )
 from oamsim.overlap import binary_mask_fringe_exact, sample_curve
 from oamsim.plates import BinarySectors, Spiral, Step
-from oamsim.twophoton import coincidence_fringe, fringe_probability, fringe_probability_exact
+from oamsim.twophoton import (
+    UnsupportedAnalyzerError,
+    coincidence_fringe,
+    fringe_probability,
+    fringe_probability_exact,
+)
 
 
 def _plate_fringe(plate):
@@ -50,6 +54,48 @@ def test_spiral_bell_parameter_exact():
     s = chsh_s_exact(lambda t: fringe_probability_exact(Spiral(0.5), t),
                      SPIRAL_SETTINGS_PI)
     assert s == Fraction(16, 5)
+
+
+@pytest.mark.parametrize("lam,s", [
+    (Fraction(1, 6), Fraction(16, 53)), (Fraction(1, 4), Fraction(16, 21)),
+    (Fraction(1, 3), Fraction(48, 31)), (Fraction(1, 2), Fraction(16, 5))])
+def test_fractional_spiral_bell_parameter_exact(lam, s):
+    # S = 16 s2 / (16 - 11 s2) with s2 = sin^2(lam pi), the same at the mirror step
+    for ell in (float(lam), float(1 - lam), 1 + float(lam)):
+        exact = chsh_s_exact(lambda t: fringe_probability_exact(Spiral(ell), t),
+                             SPIRAL_SETTINGS_PI)
+        assert exact == s
+        assert chsh_s(_plate_fringe(Spiral(ell)), SPIRAL_SETTINGS).s == pytest.approx(
+            float(s), abs=1e-12)
+
+
+@pytest.mark.parametrize("ell", [0.3, 1.3, 0.4, -0.1, 0.5 + 1e-9])
+def test_irrational_sin2_has_no_exact_bell_parameter(ell):
+    with pytest.raises(UnsupportedAnalyzerError):
+        chsh_s_exact(lambda t: fringe_probability_exact(Spiral(ell), t), SPIRAL_SETTINGS_PI)
+
+
+def _spiral_s(lam):
+    return chsh_s(_plate_fringe(Spiral(lam)), SPIRAL_SETTINGS).s
+
+
+def test_spiral_bell_parameter_over_the_fractional_step():
+    for lam in np.linspace(0.01, 0.99, 99):
+        s2 = math.sin(math.pi * lam) ** 2
+        assert _spiral_s(lam) == pytest.approx(16 * s2 / (16 - 11 * s2), abs=1e-12)
+
+
+def test_spiral_bell_parameter_crossings():
+    # S = 2 where sin^2(lam pi) = 16/19
+    lam_2 = math.asin(math.sqrt(16 / 19)) / math.pi
+    assert lam_2 == pytest.approx(0.36993, abs=1e-5)
+    assert _spiral_s(lam_2) == pytest.approx(2.0, abs=1e-12)
+    # S = 2 sqrt(2), found by bisection on the increasing S of lam in [0, 1/2]
+    lo, hi = lam_2, 0.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _spiral_s(mid) < 2 * math.sqrt(2) else (lo, mid)
+    assert lo == pytest.approx(0.4364, abs=1e-4)
 
 
 def test_step_pi_bell_parameter():
@@ -92,11 +138,11 @@ def test_result_serialization(tmp_path):
     assert path.read_text().startswith("{")
 
 
-def test_evaluate_mask_half_plane():
+def test_half_plane_mask_bell_parameter():
     # the half-plane mask at phi=pi has a pi-periodic fringe: use the
     # polarization-standard settings, matching the step-plate case
     mask = BinarySectors(math.pi, ((0.0, math.pi),))
-    result = evaluate_mask(mask, POLARIZATION_SETTINGS)
+    result = chsh_s(_plate_fringe(mask), POLARIZATION_SETTINGS)
     assert result.s == pytest.approx(3.2, abs=1e-12)
 
 
@@ -138,10 +184,11 @@ def test_search_rejects_an_initial_mask_of_another_phi():
     # the search would score the quarter mask at its own phi = pi, S = 4,
     # and hand it back with phi = pi/2, where its S is 1.54
     quarter = BinarySectors(math.pi / 2, ((0.0, math.pi / 2),))
-    assert evaluate_mask(quarter).s == pytest.approx(1.538, abs=1e-3)
+    s_quarter = chsh_s(_plate_fringe(quarter), SPIRAL_SETTINGS).s
+    assert s_quarter == pytest.approx(1.538, abs=1e-3)
     with pytest.raises(ValueError, match="phi"):
         search_max_s(1, math.pi, budget=0, init_mask=quarter)
-    assert search_max_s(1, math.pi / 2, budget=0, init_mask=quarter).s == evaluate_mask(quarter).s
+    assert search_max_s(1, math.pi / 2, budget=0, init_mask=quarter).s == s_quarter
 
 
 def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_mask=None):

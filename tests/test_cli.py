@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oamsim
-from oamsim import bell, lgfield, overlap, twophoton
+from oamsim import bell, lgfield, oracle, overlap, plates, twophoton
 from oamsim.cli import LIMITS, InputError, build_parser, main, parse_angle
 
 
@@ -114,6 +114,33 @@ def test_bell_spiral_headline(tmp_path, capsys):
     assert printed == pytest.approx(3.2, abs=1e-12)
     doc = json.loads(out.read_text())
     assert doc["S"] == pytest.approx(3.2, abs=1e-12)
+
+
+def test_bell_fractional_spiral(tmp_path, capsys):
+    # S = 16 s2 / (16 - 11 s2) with s2 = sin^2(0.4 pi)
+    out = tmp_path / "bell.json"
+    assert main(["bell", "--ell", "0.4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "2.39192786154\n"
+    s2 = math.sin(0.4 * math.pi) ** 2
+    assert json.loads(out.read_text())["S"] == pytest.approx(16 * s2 / (16 - 11 * s2), abs=1e-12)
+
+
+def test_fringe_fractional_spiral_verified(tmp_path, capsys):
+    out = tmp_path / "fringe.csv"
+    assert main(["fringe", "--ell", "0.3", "--verify", "--samples", "64", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 64
+    for delta, p in rows:
+        report = oracle.verify_fringe_sample(plates.Spiral(0.3), float(delta))
+        assert report.passed and abs(report.closed_form - float(p)) <= 1e-12
+    assert capsys.readouterr().out == "64 samples, min probability 0.345491502813\n"
+
+
+def test_half_integer_overlap_fringe_reaches_zero(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert main(["fringe", "--kind", "overlap", "--ell", "0.5", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "360 samples, min probability 0\n"
+    assert "3.14159265359,0\n" in out.read_text()
 
 
 def test_bell_step_auto_settings(tmp_path, capsys):

@@ -17,7 +17,6 @@ from oamsim.bell import (
     SPIRAL_SETTINGS,
     DegenerateFringeError,
     chsh_s,
-    evaluate_mask,
 )
 from oamsim.overlap import (
     _arcs,
@@ -179,10 +178,10 @@ def test_mask_fringe_closure_equals_fringe_probability(mask):
         except DegenerateFringeError:
             assert scores[0] == -math.inf
             with pytest.raises(DegenerateFringeError):
-                evaluate_mask(mask, bell_settings)
+                chsh_s(lambda d: closed_form_probability(mask, d), bell_settings)
             continue
         assert scores[0] == direct.s
-        result = evaluate_mask(mask, bell_settings)
+        result = chsh_s(lambda d: closed_form_probability(mask, d), bell_settings)
         assert result.s == direct.s
         assert result.p == direct.p
 
