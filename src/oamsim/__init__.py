@@ -21,7 +21,6 @@ from .bell import (
     chsh_s_exact,
     search_max_s,
 )
-from .lgfield import FarFieldImage, LgDecomposition, decompose_plate_output, far_field
 from .overlap import (
     SampledCurve,
     sample_curve,
@@ -31,5 +30,24 @@ from .overlap import (
 from .plates import BinarySectors, PhasePlate, Spiral, Step, plate_state
 from .twophoton import UnsupportedAnalyzerError, coincidence_fringe
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# lgfield imports numpy, so it and its names load on first access (PEP 562)
+# and `import oamsim` runs on the standard library
+_LGFIELD_NAMES = ("lgfield", "FarFieldImage", "LgDecomposition", "decompose_plate_output",
+                  "far_field")
+
+
+def __getattr__(name):
+    if name not in _LGFIELD_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    lgfield = importlib.import_module(".lgfield", __name__)
+    return lgfield if name == "lgfield" else getattr(lgfield, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LGFIELD_NAMES})
+
+
+__all__ = [name for name in __dir__() if not name.startswith("_")]
 __version__ = "0.1.0"

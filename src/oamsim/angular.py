@@ -15,8 +15,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 # Below this difference dnu of angular frequencies, e^{i*dnu*theta} is
@@ -51,7 +49,9 @@ class AngularGrid:
         return TWO_PI / self.n_points
 
     @property
-    def thetas(self) -> np.ndarray:
+    def thetas(self):
+        import numpy as np
+
         return np.arange(self.n_points) * self.spacing
 
     def nearest_index(self, theta: float) -> int:

@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .angular import TWO_PI, wrap_angle
 from .overlap import binary_mask_probabilities
 from .plates import BinarySectors, to_dict
@@ -108,7 +106,9 @@ def _correlation(four, floor, x, y):
     rows of a batch of fringes (arrays of probabilities)."""
     direct, both, cross_y, cross_x = four
     denom = direct + both + cross_y + cross_x
-    if isinstance(denom, np.ndarray):
+    if getattr(denom, "ndim", 0):
+        import numpy as np
+
         denom = np.where(denom > floor, denom, np.nan)
     elif denom <= floor:
         raise DegenerateFringeError(f"vanishing coincidence rate at settings ({x}, {y})")
@@ -202,6 +202,8 @@ class MaskSearchResult:
 def _sectors(boundaries):
     """Sorted boundary angles in [0, 2*pi], taken pairwise as sectors:
     (starts, ends), each of shape (..., k)."""
+    import numpy as np
+
     b = np.sort(np.mod(boundaries, TWO_PI), axis=-1)
     return b[..., 0::2], b[..., 1::2]
 
@@ -211,6 +213,8 @@ def _mask_scorer(phi, settings):
     per batch at the settings' relative angles; a row whose geometry
     degenerates (coincident boundaries, full or empty coverage) or whose
     fringe vanishes at a setting pair scores -inf."""
+    import numpy as np
+
     pairs, perp = settings.pairs(), settings.perp_offset
     # the identity fringe hands back the wrapped relative angles _chsh asks for
     deltas = sorted({d for x, y in pairs
@@ -239,6 +243,8 @@ def _descend(score, x, s, max_evals, step):
     to 1e-12. Returns each row's trial count and its improvements as
     (trials so far, S, x) lists; the trials of a row form a prefix of those
     any larger max_evals would give."""
+    import numpy as np
+
     n_rows, n = x.shape
     x, s, step = x.copy(), np.array(s, dtype=float), np.full(n_rows, step)
     first, used = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int)
@@ -280,6 +286,8 @@ def search_max_s(sector_count: int, phi: float,
     Returns the best mask found together with the (evaluation, best-S)
     trace; convergence is not guaranteed.
     """
+    import numpy as np
+
     if sector_count < 1:
         raise ValueError("sector_count must be >= 1")
     if budget < 0:

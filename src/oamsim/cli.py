@@ -28,7 +28,9 @@ import operator
 import re
 import sys
 
-from . import bell, lgfield, oracle, overlap, plates, twophoton
+# lgfield and oracle import numpy, so the commands that need them import them
+# themselves, and bell on a spiral or step plate runs on the standard library
+from . import bell, overlap, plates, twophoton
 
 # upper bounds of the sizing flags: each keeps one run's time and memory
 # bounded (a --grid of N holds at most one and a half N x N complex arrays,
@@ -143,17 +145,23 @@ def _settings_from_args(args, plate=None) -> bell.BellSettings:
 
 def cmd_fringe(args) -> int:
     plate = _plate_from_args(args)
-    if args.kind == "overlap":
-        curve = overlap.sample_curve(plate, args.samples, verify=args.verify)
-        rows = curve.samples
-        curve.write_csv(args.out)
+    if args.verify:
+        from .oracle import OracleMismatch, verify_fringe_sample
     else:
-        fringe = twophoton.coincidence_fringe(plate, args.samples)
-        if args.verify:
-            for d, _ in fringe.samples:
-                oracle.verify_fringe_sample(plate, d).require()
-        rows = fringe.samples
-        fringe.write_csv(args.out)
+        OracleMismatch = ()  # an empty tuple of exception types catches nothing
+    try:
+        if args.kind == "overlap":
+            curve = overlap.sample_curve(plate, args.samples, verify=args.verify)
+        else:
+            curve = twophoton.coincidence_fringe(plate, args.samples)
+            if args.verify:
+                for d, _ in curve.samples:
+                    verify_fringe_sample(plate, d).require()
+    except OracleMismatch as exc:
+        print(f"oracle mismatch: {exc}", file=sys.stderr)
+        return 1
+    curve.write_csv(args.out)
+    rows = curve.samples
     print(f"{len(rows)} samples, min probability {min(p for _, p in rows):.12g}")
     return 0
 
@@ -201,6 +209,8 @@ def cmd_search(args) -> int:
 
 def cmd_decompose(args) -> int:
     plate = plates.Spiral(float(args.ell))
+    from . import lgfield
+
     half = args.l_halfwidth
     center = round(args.ell)
     decomposition = lgfield.decompose_plate_output(
@@ -217,6 +227,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_farfield(args) -> int:
     plate = plates.Spiral(float(args.ell))
+    from . import lgfield
+
     image = lgfield.far_field(plate, n=args.grid, extent=args.extent)
     image.write_pgm(args.out)
     image.write_sidecar(args.out + ".json")
@@ -225,6 +237,8 @@ def cmd_farfield(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
+
     reports = oracle.standard_sweep()
     if args.out:
         oracle.write_jsonl(reports, args.out)
@@ -297,9 +311,6 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
         return args.func(args)
-    except oracle.OracleMismatch as exc:
-        print(f"oracle mismatch: {exc}", file=sys.stderr)
-        return 1
     except (InputError, ValueError, bell.DegenerateFringeError) as exc:
         # a fringe that vanishes at a setting leaves S undefined
         print(f"error: {exc}", file=sys.stderr)

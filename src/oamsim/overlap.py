@@ -21,8 +21,6 @@ import csv
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .angular import TWO_PI, AngularGrid, wrap_angle
 from .plates import BinarySectors, PhasePlate, Spiral, Step
 
@@ -79,6 +77,8 @@ def covariogram(starts, widths, deltas, period=TWO_PI):
     The terms are laid out as (k, k, D, rows), and the pairs are added one
     after another, so a mask's value does not depend on its batch.
     """
+    import numpy as np
+
     a, u = np.asarray(starts), np.asarray(widths)
     if not (a.min() >= 0 and a.max() <= period):
         raise ValueError(f"covariogram starts must lie in [0, {period}]")
@@ -107,6 +107,8 @@ def covariogram(starts, widths, deltas, period=TWO_PI):
 
 def _arcs(sectors):
     """Start and width arrays of a sector list."""
+    import numpy as np
+
     return np.array([a for a, _ in sectors]), np.array([b - a for a, b in sectors])
 
 
@@ -117,6 +119,8 @@ def _displaced(starts, widths, deltas, period=TWO_PI):
     Rows and deltas reach the covariogram in blocks of at most
     _COVARIOGRAM_ELEMENTS elements (while k**2 is at most half of it), and
     each value is the one its mask and delta would give alone."""
+    import numpy as np
+
     a, u, d = np.asarray(starts), np.asarray(widths), np.asarray(deltas)
     k = a.shape[-1]
     lead, a, u = a.shape[:-1], a.reshape(-1, k), u.reshape(-1, k)

@@ -15,8 +15,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .angular import TWO_PI, ClosedForm, wrap_angle
 
 
@@ -147,8 +145,10 @@ def _pieces(plate):
     return 0.0, tuple(boundaries), tuple(factors)
 
 
-def profile(plate, theta) -> np.ndarray:
+def profile(plate, theta):
     """The plate's unimodular phase factor at angle(s) theta."""
+    import numpy as np
+
     shift, boundaries, factors = _pieces(plate)
     t = np.asarray(theta, dtype=float)
     # np.mod leaves angles in [0, 2*pi) as they are; NaN fails both tests

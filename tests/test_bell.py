@@ -1,5 +1,6 @@
 """Tests for CHSH correlations, the exact rational path, and the mask search."""
 
+import inspect
 import math
 from fractions import Fraction
 
@@ -126,6 +127,28 @@ def test_degenerate_fringe_raises():
     with pytest.raises(DegenerateFringeError):
         chsh_s_exact(lambda t: Fraction(0), SPIRAL_SETTINGS_PI)
     assert chsh_s_exact(lambda t: Fraction(1, 10**30), SPIRAL_SETTINGS_PI) == 0
+
+
+# its fringe and the fringe half a turn on both vanish at the relative angle
+# -pi/4 of (a1, a2)
+_VANISHING_MASK = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)))
+
+
+def test_numpy_scalar_fringe_keeps_the_scalar_path():
+    with pytest.raises(DegenerateFringeError):
+        chsh_s(lambda d: np.float64(fringe_probability(_VANISHING_MASK, d)), SPIRAL_SETTINGS)
+    cos2 = chsh_s(lambda d: math.cos(d) ** 2, POLARIZATION_SETTINGS)
+    assert chsh_s(lambda d: np.float64(math.cos(d) ** 2), POLARIZATION_SETTINGS).s == cos2.s
+
+
+def test_batch_with_a_vanishing_row_scores_minus_inf():
+    mask = BinarySectors(math.pi, ((0.3, 1.1), (2.0, 4.0)))
+    batch = np.array([[v for sector in m.sectors for v in sector] for m in (_VANISHING_MASK, mask)])
+    s = bell._mask_scorer(math.pi, SPIRAL_SETTINGS)(batch)
+    assert s[0] == -math.inf
+    assert s[1] == pytest.approx(chsh_s(_plate_fringe(mask), SPIRAL_SETTINGS).s, abs=1e-12)
+    # a batch is told from a scalar by its ndim, not by a numpy type check
+    assert "ndarray" not in inspect.getsource(bell)
 
 
 def test_result_serialization(tmp_path):

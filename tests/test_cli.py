@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -421,12 +422,19 @@ def test_fringe_verify_rejects_unresolvable_ell(tmp_path, capsys):
     assert main(argv + ["--ell", "1e10"]) == 0
 
 
-def test_subcommands_load_no_scipy(tmp_path):
-    # scipy serves only the oracle's quadrature check and the tests; the
-    # import and every subcommand run on numpy alone
+def _fresh_python(script, cwd, args=()):
+    """stdout of ``script`` run with ``args`` in a fresh interpreter that
+    imports the package under test."""
     src = str(Path(oamsim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120, check=True).stdout
+
+
+def test_subcommands_load_no_scipy(tmp_path):
+    # scipy serves only the oracle's quadrature check and the tests; the
+    # import and every subcommand run on numpy alone
     commands = [
         ["bell", "--ell", "0.5"],
         ["fringe", "--ell", "0.5", "--verify"],
@@ -439,9 +447,65 @@ def test_subcommands_load_no_scipy(tmp_path):
             f"codes = [oamsim.cli.main(argv) for argv in {commands!r}]\n"
             "print(codes, sorted(m for m in sys.modules"
             " if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                            capture_output=True, text=True, timeout=120, check=True)
-    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+    assert _fresh_python(code, tmp_path).strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+
+# prints the top-level numpy and scipy packages the interpreter has loaded
+_LOADED = "print(sorted({m.partition('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+
+
+def test_import_loads_no_numpy(tmp_path):
+    assert _fresh_python("import sys, oamsim\n" + _LOADED, tmp_path).strip() == "[]"
+
+
+# the package's names, which resolve whether or not lgfield has loaded
+_PACKAGE_NAMES = [
+    "AngularGrid", "BellResult", "BellSettings", "BinarySectors", "ClosedForm",
+    "DegenerateFringeError", "FarFieldImage", "LgDecomposition", "MaskSearchResult",
+    "POLARIZATION_SETTINGS", "PhasePlate", "SPIRAL_SETTINGS", "SampledCurve", "Spiral", "Step",
+    "UnsupportedAnalyzerError", "angular", "bell", "chsh_s", "chsh_s_exact",
+    "coincidence_fringe", "decompose_plate_output", "far_field", "inner_product",
+    "integer_mode", "lgfield", "oam_spectrum", "overlap", "plate_state", "plates",
+    "sample_curve", "search_max_s", "spiral_overlap_probability", "step_overlap_probability",
+    "twophoton",
+]
+
+
+def test_package_surface(tmp_path):
+    # dir() before any lgfield name is read, then the star import resolves
+    # every name in a fresh interpreter
+    script = ("import json, oamsim\n"
+              "listed = dir(oamsim)\n"
+              "names = {}\n"
+              "exec('from oamsim import *', names)\n"
+              "print(json.dumps([oamsim.__all__, listed, sorted(set(names) - {'__builtins__'}),"
+              " oamsim.far_field is oamsim.lgfield.far_field]))")
+    exported, listed, imported, same = json.loads(_fresh_python(script, tmp_path))
+    assert exported == _PACKAGE_NAMES == imported and same
+    assert set(_PACKAGE_NAMES) <= set(listed)
+    with pytest.raises(AttributeError):
+        oamsim.no_such_name
+    pyproject = (Path(oamsim.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    assert oamsim.__version__ == re.search(r'^version = "(.+)"$', pyproject, re.M)[1]
+
+
+@pytest.mark.parametrize("command, code", [
+    ("bell --ell 0.5", 0),
+    ("bell --ell 0.4", 0),
+    ("bell --plate step --phi pi", 0),
+    ("bell --fringe cos2", 0),
+    ("fringe --ell 0.5", 0),
+    ("bell --ell inf", 2),
+    ("search --budget 0 --init no_sectors.json", 2),
+    ("farfield --ell nan --grid 128", 2),
+])
+def test_standard_library_commands_load_no_numpy(tmp_path, command, code):
+    # the closed-form fringes and CHSH, and every input rejected before the
+    # far field, the LG decomposition or the mask search, need no numpy
+    (tmp_path / "no_sectors.json").write_text(json.dumps({"type": "binary", "phi": math.pi}))
+    script = "import sys, oamsim.cli\nprint(oamsim.cli.main(sys.argv[1:]))\n" + _LOADED
+    out = _fresh_python(script, tmp_path, command.split())
+    assert out.strip().splitlines()[-2:] == [str(code), "[]"]
 
 
 # sector ends on the pi/4 lattice, where fringe zeros meet the Bell settings,
