@@ -23,29 +23,41 @@ from .angular import TWO_PI, oam_spectrum
 from .plates import Spiral, plate_state, profile
 
 
-def radial_overlaps(l: int, p_max: int) -> np.ndarray:
+# overflow, NaN or log 0 in the radial kernel is a bug, never a result;
+# underflow of a far overlap to 0 is harmless and stays silent
+_LOUD = dict(over="raise", invalid="raise", divide="raise")
+
+
+def radial_overlaps(l, p_max: int) -> np.ndarray:
     """Overlaps of the normalized radial functions R_{l,p}, p = 0..p_max,
     with the fundamental R_{0,0}: integral of R_lp R_00 r dr
-    (waist-independent).
+    (waist-independent). An array of l gives one row per l, of shape
+    ``np.shape(l) + (p_max + 1,)``.
 
     In x = 2 r^2/w0^2 the integral is sqrt(p!/(p+|l|)!) (-1)^p times
     int x^a L_p^{|l|}(x) e^{-x} dx = Gamma(a+1) Gamma(p+a) / (p! Gamma(a)),
     a = |l|/2 (Gradshteyn-Ryzhik 7.414.7). At l = 0 the factor 1/Gamma(0)
     leaves only p = 0: R_{0,0} is orthogonal to every other R_{0,p}.
     """
+    abs_l = np.abs(np.asarray(l))
     ps = np.arange(p_max + 1)
-    al = abs(l)
-    if al == 0:
-        return (ps == 0).astype(float)
+    overlaps = np.zeros(abs_l.shape + ps.shape)
+    nonzero = abs_l != 0
+    overlaps[~nonzero, 0] = 1.0
+    al = abs_l[nonzero]
     a = al / 2.0
     # the p = 0 term, then the logs of the ratios of consecutive terms,
     # (p + a) / sqrt((p + 1)(p + |l| + 1)), summed up: every addend stays
     # small, so no difference of two large log-Gammas loses digits
-    head = math.lgamma(a + 1.0) - 0.5 * math.lgamma(al + 1.0)
-    q = ps[:-1]
-    steps = np.log(q + a) - 0.5 * (np.log(q + 1.0) + np.log(q + al + 1.0))
-    log_magnitude = head + np.concatenate(([0.0], np.cumsum(steps)))
-    return (-1.0) ** ps * np.exp(log_magnitude)
+    with np.errstate(**_LOUD):
+        head = (np.array([math.lgamma(x) for x in (a + 1.0).tolist()])
+                - 0.5 * np.array([math.lgamma(x) for x in (al + 1.0).tolist()]))
+        q, al, a = ps[:-1], al[:, None], a[:, None]
+        steps = np.log(q + a) - 0.5 * (np.log(q + 1.0) + np.log(q + al + 1.0))
+        log_magnitude = head[:, None] + np.concatenate(
+            (np.zeros((len(al), 1)), np.cumsum(steps, axis=1)), axis=1)
+        overlaps[nonzero] = (-1.0) ** ps * np.exp(log_magnitude)
+    return overlaps
 
 
 @dataclass(frozen=True)
@@ -118,26 +130,28 @@ def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
         raise ValueError(f"target power must lie in (0, 1], got {target_power}")
     angular = oam_spectrum(plate_state(plate, 0), l_min, l_max)
     kept = [(l, a_l) for l, a_l in angular if abs(a_l) >= 1e-14]
+    ls = np.array([l for l, _ in kept], dtype=np.int64)
+    # the overlaps depend on |l| alone: one row per distinct |l|
+    distinct, row_of = np.unique(np.abs(ls), return_inverse=True)
     if quadrature_order is None:
-        radial = radial_overlaps
+        radial = radial_overlaps(distinct, p_max)
     else:
         from .oracle import fill_gl_rules, quadrature_radial_overlaps
 
         # the rules of every |l|/2 the window needs, in one batch
-        fill_gl_rules(quadrature_order, [abs(l) / 2.0 for l, _ in kept])
-
-        def radial(l, p_max):
-            return quadrature_radial_overlaps(l, p_max, quadrature_order)
-
-    coeffs = np.array([a_l * radial(l, p_max) for l, a_l in kept]).reshape(-1, p_max + 1)
+        fill_gl_rules(quadrature_order, (distinct / 2.0).tolist())
+        radial = np.array([quadrature_radial_overlaps(al, p_max, quadrature_order)
+                           for al in distinct.tolist()]).reshape(-1, p_max + 1)
+    coeffs = np.array([a_l for _, a_l in kept], dtype=complex)[:, None] * radial[row_of]
     powers = np.abs(coeffs) ** 2
     rows, ps = np.nonzero(powers > 1e-16)
-    # rows ascend with l and (l, p) is unique: the order of the key (-power, l, p)
-    order = np.lexsort((ps, rows, -powers[rows, ps]))
+    # nonzero yields (row, p) in row-major order and rows ascend with l, so
+    # a stable sort on -power gives the order of the key (-power, l, p)
+    w = powers[rows, ps]
+    order = np.argsort(-w, kind="stable")
     rows, ps = rows[order], ps[order]
-    ls = np.array([l for l, _ in kept], dtype=np.int64)[rows]
-    entries = tuple(zip(ls.tolist(), ps.tolist(), coeffs[rows, ps].tolist(),
-                        powers[rows, ps].tolist()))
+    entries = tuple(zip(ls[rows].tolist(), ps.tolist(), coeffs[rows, ps].tolist(),
+                        w[order].tolist()))
 
     angular_tail = 1.0 - sum(abs(a) ** 2 for _, a in angular)
     return LgDecomposition(entries, (l_min, l_max), p_max, target_power, angular_tail)

@@ -52,6 +52,47 @@ def test_radial_overlaps_accurate_relative_to_their_size(l, p_max):
     np.testing.assert_allclose(radial_overlaps(l, p_max), expected, rtol=1e-12, atol=0)
 
 
+def _reference_radial_overlaps(l, p_max):
+    """The closed-form kernel one l at a time, written out: the batched
+    kernel must equal it bit for bit."""
+    ps = np.arange(p_max + 1)
+    al = abs(l)
+    if al == 0:
+        return (ps == 0).astype(float)
+    a = al / 2.0
+    head = math.lgamma(a + 1.0) - 0.5 * math.lgamma(al + 1.0)
+    q = ps[:-1]
+    steps = np.log(q + a) - 0.5 * (np.log(q + 1.0) + np.log(q + al + 1.0))
+    log_magnitude = head + np.concatenate(([0.0], np.cumsum(steps)))
+    return (-1.0) ** ps * np.exp(log_magnitude)
+
+
+@pytest.mark.parametrize("p_max", [0, 1, 5, 200, 1000])
+def test_radial_overlaps_equal_the_written_out_kernel_bit_for_bit(p_max):
+    ls = [*range(-300, 301), 1001, 2**52 + 1, 2**53 - 1]
+    batch = radial_overlaps(ls, p_max)
+    assert batch.shape == (len(ls), p_max + 1)
+    for l, row in zip(ls, batch):
+        expected = _reference_radial_overlaps(l, p_max)
+        assert np.array_equal(radial_overlaps(l, p_max), expected), l
+        assert np.array_equal(row, expected), l
+
+
+def test_radial_overlaps_batch_mixing_zero_and_repeated_l():
+    ls = [[3, 0, -3], [0, 7, 3]]
+    batch = radial_overlaps(ls, 12)
+    assert batch.shape == (2, 3, 13)
+    for l, row in zip(np.ravel(ls), batch.reshape(-1, 13)):
+        assert np.array_equal(row, _reference_radial_overlaps(int(l), 12)), l
+    assert radial_overlaps(np.array([], dtype=int), 4).shape == (0, 5)
+
+
+def test_closed_form_radial_overlaps_fail_loudly():
+    # |l| = inf makes the p = 0 term inf - inf: an error, not a NaN row
+    with pytest.raises(FloatingPointError):
+        radial_overlaps(math.inf, 3)
+
+
 def test_radial_overlap_high_order_is_stable():
     # the scaled recurrence must stay finite far beyond the library root
     # finder's overflow point
@@ -139,7 +180,8 @@ def test_count_at_without_entries_raises_value_error():
         d.count_at(0.87)
 
 
-def _decomposition_one_entry_at_a_time(plate, l_window, p_max, radial=radial_overlaps):
+def _decomposition_one_entry_at_a_time(plate, l_window, p_max,
+                                       radial=_reference_radial_overlaps):
     """Entries built one (l, p) at a time and sorted on the key (-power, l, p)."""
     entries = []
     for l, a_l in oam_spectrum(plate_state(plate, 0), *l_window):
@@ -154,14 +196,33 @@ def _decomposition_one_entry_at_a_time(plate, l_window, p_max, radial=radial_ove
     return tuple(entries)
 
 
-@pytest.mark.parametrize("ell, l_window", [(0.5, (-60, 61)), (2.5, (-58, 63)), (2.0, (-5, 5))])
-def test_decomposition_equals_the_entry_by_entry_build(ell, l_window):
-    d = decompose_plate_output(Spiral(ell), l_window=l_window, p_max=40)
-    assert d.entries == _decomposition_one_entry_at_a_time(Spiral(ell), l_window, 40)
+_MASK = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)))
+
+
+@pytest.mark.parametrize("plate, l_window, p_max, order, ties", [
+    pytest.param(Spiral(0.5), (-60, 61), 40, None, None, id="0.5-l_window0"),
+    pytest.param(Spiral(2.5), (-58, 63), 40, None, None, id="2.5-l_window1"),
+    pytest.param(Spiral(2.0), (-5, 5), 40, None, None, id="2.0-l_window2"),
+    # every entry of Step(pi) and of the mask has the power of its -l
+    # partner, bit for bit: the tie falls to the smaller l, then p
+    *[pytest.param(plate, (-20, 20), 30, order, ties, id=f"{name}-order{order}")
+      for name, plate, ties in (("step_pi", Step(math.pi), 620),
+                                ("step_half_pi", Step(math.pi / 2), None), ("mask", _MASK, 310))
+      for order in (None, 120)],
+])
+def test_decomposition_equals_the_entry_by_entry_build(plate, l_window, p_max, order, ties):
+    d = decompose_plate_output(plate, l_window=l_window, p_max=p_max, quadrature_order=order)
+    radial = _reference_radial_overlaps if order is None else (
+        lambda l, p_max: oracle.quadrature_radial_overlaps(l, p_max, order))
+    assert d.entries == _decomposition_one_entry_at_a_time(plate, l_window, p_max, radial)
     assert all(type(l) is int and type(p) is int and type(c) is complex and type(w) is float
                for l, p, c, w in d.entries)
-    if ell == 2.0:
+    if plate == Spiral(2.0):
         assert {l for l, *_ in d.entries} == {2}
+    if ties is not None:
+        powers = {(l, p): w for l, p, _, w in d.entries}
+        assert len(d.entries) == ties
+        assert all(powers[-l, p] == w for l, p, _, w in d.entries)
 
 
 def test_quadrature_decomposition_equals_the_entry_by_entry_build():
@@ -171,6 +232,31 @@ def test_quadrature_decomposition_equals_the_entry_by_entry_build():
         Spiral(0.5), (-6, 7), 20,
         radial=lambda l, p_max: oracle.quadrature_radial_overlaps(l, p_max, order))
     assert d.entries == expected
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_decomposition_evaluates_its_radial_overlaps_once(monkeypatch):
+    # the overlaps depend on |l| alone: one closed-form call over the
+    # distinct |l|, one quadrature call per distinct |l|
+    closed = _count_calls(monkeypatch, lgfield, "radial_overlaps")
+    quadrature = _count_calls(monkeypatch, oracle, "quadrature_radial_overlaps")
+    decompose_plate_output(Spiral(0.5), l_window=(-60, 61), p_max=120)
+    assert len(closed) == 1 and not quadrature
+    assert closed[0][0].tolist() == list(range(62))
+    decompose_plate_output(Spiral(0.5), l_window=(-6, 7), p_max=20, quadrature_order=120)
+    assert len(closed) == 1
+    assert sorted(al for al, *_ in quadrature) == list(range(8))
 
 
 def test_window_without_kept_amplitudes_is_empty_and_incomplete(tmp_path, capsys, monkeypatch):
