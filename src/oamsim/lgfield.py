@@ -40,6 +40,9 @@ def radial_overlaps(l, p_max: int) -> np.ndarray:
     leaves only p = 0: R_{0,0} is orthogonal to every other R_{0,p}.
     """
     abs_l = np.abs(np.asarray(l))
+    # NaN and fractions name no mode; inf passes on to fail in the kernel
+    if np.any(abs_l != np.floor(abs_l)):
+        raise ValueError("OAM indices must be integers")
     ps = np.arange(p_max + 1)
     overlaps = np.zeros(abs_l.shape + ps.shape)
     nonzero = abs_l != 0
@@ -109,17 +112,13 @@ class LgDecomposition:
 
 
 def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
-                           target_power: float = 0.87,
-                           quadrature_order: int | None = None) -> LgDecomposition:
+                           target_power: float = 0.87) -> LgDecomposition:
     """LG spectrum of the plate acting on the fundamental Gaussian mode.
 
     Coefficients factorize into the exact azimuthal amplitude of the plate
     profile and the radial overlap of R_{l,p} with R_{0,0}. Entries are
     accumulated greedily by descending power; if the windows cannot reach
     the target the result is flagged incomplete.
-
-    With ``quadrature_order`` set, the radial overlaps come from the
-    oracle's Gauss-Laguerre rule of that order instead of the closed form.
     """
     l_min, l_max = l_window
     if l_min > l_max or p_max < 0:
@@ -133,15 +132,7 @@ def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
     ls = np.array([l for l, _ in kept], dtype=np.int64)
     # the overlaps depend on |l| alone: one row per distinct |l|
     distinct, row_of = np.unique(np.abs(ls), return_inverse=True)
-    if quadrature_order is None:
-        radial = radial_overlaps(distinct, p_max)
-    else:
-        from .oracle import fill_gl_rules, quadrature_radial_overlaps
-
-        # the rules of every |l|/2 the window needs, in one batch
-        fill_gl_rules(quadrature_order, (distinct / 2.0).tolist())
-        radial = np.array([quadrature_radial_overlaps(al, p_max, quadrature_order)
-                           for al in distinct.tolist()]).reshape(-1, p_max + 1)
+    radial = radial_overlaps(distinct, p_max)
     coeffs = np.array([a_l for _, a_l in kept], dtype=complex)[:, None] * radial[row_of]
     powers = np.abs(coeffs) ** 2
     rows, ps = np.nonzero(powers > 1e-16)

@@ -28,7 +28,6 @@ from .angular import TWO_PI, AngularGrid
 from .bell import BellSettings, POLARIZATION_SETTINGS, SPIRAL_SETTINGS, chsh_s
 from .overlap import closed_form_probability
 from .plates import BinarySectors, Spiral, Step
-from .twophoton import fringe_probability
 
 
 class OracleMismatch(AssertionError):
@@ -144,7 +143,7 @@ def verify_overlap(plate, alpha: float, tolerance: float = 1e-8,
 
 def verify_fringe_sample(plate, delta: float, tolerance: float = 1e-8,
                          grid: AngularGrid | None = None) -> OracleReport:
-    return _verify(fringe_probability, "fringe[{}, delta={:.6f}]", plate, delta,
+    return _verify(closed_form_probability, "fringe[{}, delta={:.6f}]", plate, delta,
                    tolerance, grid)
 
 
@@ -155,7 +154,7 @@ def verify_bell(plate, settings: BellSettings = SPIRAL_SETTINGS,
     quadrature-derived fringe."""
     _require_resolvable(plate, tolerance)
     grid = grid or AngularGrid()
-    closed = chsh_s(lambda d: fringe_probability(plate, d), settings).s
+    closed = chsh_s(lambda d: closed_form_probability(plate, d), settings).s
     oracle = chsh_s(
         lambda d: quadrature_overlap_probability(plate, d, grid), settings).s
     name = f"bell[{type(plate).__name__.lower()}]"
@@ -212,21 +211,10 @@ def fractional_tail_bound(lam: float, dl_min: int, dl_max: int) -> float:
 _LOUD = dict(over="raise", invalid="raise")
 
 
-# (order, alpha) -> (nodes, log_weights) of every rule built so far
-_GL_RULES = {}
-
-
-def _gl_nodes(order: int, alpha: float):
-    """Generalized Gauss-Laguerre nodes and log-weights for the weight
-    x^alpha e^{-x}, built by ``fill_gl_rules`` on first use."""
-    if (order, alpha) not in _GL_RULES:
-        fill_gl_rules(order, (alpha,))
-    return _GL_RULES[order, alpha]
-
-
-def fill_gl_rules(order: int, alphas) -> None:
-    """Build and cache the Gauss-Laguerre rules of one order for every alpha
-    not cached yet, the weights of all of them in one 2-D recurrence.
+@lru_cache
+def _gl_rule(order: int, alpha: float):
+    """Generalized Gauss-Laguerre nodes and log-weights, read-only, for the
+    weight x^alpha e^{-x}.
 
     The nodes are the eigenvalues of the Jacobi matrix (stable at high
     order, where the library's Newton-iteration root finder overflows).
@@ -241,42 +229,35 @@ def fill_gl_rules(order: int, alphas) -> None:
     error that the e^{+x/2} factor of the radial overlaps amplifies past
     any bound at the far nodes, by an amount that depends on the LAPACK
     eigenvector driver; no eigenvectors are used here.
-
-    The recurrence runs on one row per alpha, with elementwise the same
-    operations as for a single alpha, so a rule is bit-identical whichever
-    batch built it; the eigenvalues are found one alpha at a time.
     """
     # deferred: only the quadrature check uses scipy, so the program never
     # imports it
     from scipy.linalg import eigh_tridiagonal
     from scipy.special import gammaln
 
-    alphas = [a for a in dict.fromkeys(alphas) if (order, a) not in _GL_RULES]
-    if not alphas:
-        return
-    column = np.array(alphas, dtype=float)[:, None]
     k = np.arange(order, dtype=float)
-    diag = 2.0 * k + column + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + column))
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
     with np.errstate(**_LOUD):
-        nodes = np.array([eigh_tridiagonal(d, e, eigvals_only=True) for d, e in zip(diag, off)])
+        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
         # invariant: sum_{j<=k} p_j^2 = total * 4^exponent, p = q * 2^exponent
         q_prev = np.zeros_like(nodes)
         q = np.ones_like(nodes)
         total = np.ones_like(nodes)
         exponent = np.zeros(nodes.shape, dtype=np.int64)
         for j in range(order - 1):
-            back = off[:, j - 1, None] * q_prev if j else 0.0
-            q_prev, q = q, ((nodes - diag[:, j, None]) * q - back) / off[:, j, None]
+            back = off[j - 1] * q_prev if j else 0.0
+            q_prev, q = q, ((nodes - diag[j]) * q - back) / off[j]
             total += q * q
             shift = np.frexp(total)[1] // 2
             q = np.ldexp(q, -shift)
             q_prev = np.ldexp(q_prev, -shift)
             total = np.ldexp(total, -2 * shift)
             exponent += shift
-        log_weights = gammaln(column + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
-    for alpha, row_nodes, row_weights in zip(alphas, nodes, log_weights):
-        _GL_RULES[order, alpha] = (row_nodes, row_weights)
+        log_weights = gammaln(alpha + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
+    nodes.flags.writeable = False
+    log_weights.flags.writeable = False
+    return nodes, log_weights
 
 
 def quadrature_radial_overlaps(l: int, p_max: int, order: int) -> np.ndarray:
@@ -284,17 +265,20 @@ def quadrature_radial_overlaps(l: int, p_max: int, order: int) -> np.ndarray:
     with R_{0,0}, by Gauss-Laguerre quadrature of the given order.
 
     In x = 2 r^2/w0^2 the integrand is x^(|l|/2) L_p^{|l|}(x) e^{-x} up to
-    constants; the quadrature weight carries the full non-polynomial part,
-    so the rule is exact once order exceeds p_max/2. The Laguerre
-    polynomials run through their three-term recurrence scaled by e^{-x/2},
-    with e^{+x/2} moved into the weights: mathematically identical, but
-    bounded at the far nodes, where the raw polynomials overflow long
-    before their weighted contribution matters.
+    constants. With |l|/2 = k + alpha, k = floor(|l|/2), the weight
+    x^alpha e^{-x} carries the non-polynomial part, so two rules, alpha = 0
+    and 1/2, serve every l; x^k folds into the weights, and the rule is
+    exact once order exceeds (k + p_max)/2. The Laguerre polynomials run
+    through their three-term recurrence scaled by e^{-x/2}, with e^{+x/2}
+    moved into the weights: mathematically identical, but bounded at the
+    far nodes, where the raw polynomials overflow long before their
+    weighted contribution matters.
     """
     from scipy.special import gammaln
 
     al = abs(l)
-    nodes, log_weights = _gl_nodes(order, al / 2.0)
+    k = al // 2
+    nodes, log_weights = _gl_rule(order, (al % 2) / 2.0)
     with np.errstate(**_LOUD):
         polys = np.empty((p_max + 1, order))
         polys[0] = np.exp(-0.5 * nodes)
@@ -303,7 +287,7 @@ def quadrature_radial_overlaps(l: int, p_max: int, order: int) -> np.ndarray:
         for p in range(1, p_max):
             polys[p + 1] = ((2 * p + al + 1 - nodes) * polys[p]
                             - (p + al) * polys[p - 1]) / (p + 1)
-        integrals = polys @ np.exp(log_weights + 0.5 * nodes)
+        integrals = polys @ np.exp(log_weights + k * np.log(nodes) + 0.5 * nodes)
         ps = np.arange(p_max + 1)
         # normalized radial functions: R_lp = (2/w0) sqrt(p!/(p+|l|)!)
         # x^{|l|/2} L_p^{|l|}(x) e^{-x/2} (-1)^p, and r dr = (w0^2/4) dx

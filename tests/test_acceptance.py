@@ -32,7 +32,12 @@ from oamsim.bell import (
 )
 from oamsim.cli import main
 from oamsim.lgfield import decompose_plate_output, far_field
-from oamsim.oracle import fractional_tail_bound, verify_fringe_sample, verify_overlap
+from oamsim.oracle import (
+    fractional_tail_bound,
+    quadrature_radial_overlaps,
+    verify_fringe_sample,
+    verify_overlap,
+)
 from oamsim.overlap import sample_curve, spiral_overlap_probability
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state, profile
 from oamsim.twophoton import fringe_probability, fringe_probability_exact
@@ -167,22 +172,29 @@ def test_criterion_5_overlap_curves(capsys):
                 "; ".join(details) + f", runtime={elapsed:.2f}s")
 
 
+def _quadrature_count(plate, l_window, p_max, order, target=0.87):
+    """Greedy LG component count at the target power, with every radial
+    overlap from the oracle's Gauss-Laguerre rule of the given order."""
+    powers = []
+    for l, a_l in oam_spectrum(plate_state(plate, 0), *l_window):
+        if abs(a_l) >= 1e-14:
+            w = np.abs(a_l * quadrature_radial_overlaps(l, p_max, order)) ** 2
+            powers.extend(w[w > 1e-16])
+    return int(np.searchsorted(np.cumsum(np.sort(powers)[::-1]), target)) + 1
+
+
 def test_criterion_6_lg_component_counts(capsys):
     t0 = time.perf_counter()
     half = decompose_plate_output(Spiral(0.5), l_window=(-60, 61), p_max=120)
     count_half = half.count_at(0.87)
     base_order = 2 * (200 + 63) + 32
     five = decompose_plate_output(Spiral(2.5), l_window=(2 - 60, 3 + 60), p_max=200)
-    five_doubled = decompose_plate_output(
-        Spiral(2.5), l_window=(2 - 60, 3 + 60), p_max=200,
-        quadrature_order=2 * base_order)
-    half_doubled = decompose_plate_output(
-        Spiral(0.5), l_window=(-60, 61), p_max=120,
-        quadrature_order=2 * (2 * (120 + 61) + 32))
     count_five = five.count_at(0.87)
+    # the same counts with the radial overlaps by quadrature at twice the order
+    five_doubled = _quadrature_count(Spiral(2.5), (2 - 60, 3 + 60), 200, 2 * base_order)
+    half_doubled = _quadrature_count(Spiral(0.5), (-60, 61), 120, 2 * (2 * (120 + 61) + 32))
     elapsed = time.perf_counter() - t0
-    stable = (five_doubled.count_at(0.87) == count_five
-              and half_doubled.count_at(0.87) == count_half)
+    stable = five_doubled == count_five and half_doubled == count_half
     in_half_window = 9 <= count_half <= 13
     in_five_window = abs(count_five - 224) <= 0.15 * 224
     ok = in_half_window and in_five_window and stable and elapsed < 60.0

@@ -93,6 +93,14 @@ def test_closed_form_radial_overlaps_fail_loudly():
         radial_overlaps(math.inf, 3)
 
 
+@pytest.mark.parametrize("l", [math.nan, 2.5, [1, -0.5]])
+def test_radial_overlaps_reject_non_integer_l(l):
+    # NaN and fractions name no LG mode: an error, not a NaN row or a row
+    # for a mode that does not exist
+    with pytest.raises(ValueError, match="integers"):
+        radial_overlaps(l, 2)
+
+
 def test_radial_overlap_high_order_is_stable():
     # the scaled recurrence must stay finite far beyond the library root
     # finder's overflow point
@@ -106,8 +114,8 @@ def test_gl_weights_accurate_relative_to_their_size():
     # is right only relative to the largest one (as eigenvector-derived
     # weights are) turns into garbage at the far nodes
     for order in (100, 200):
-        for alpha in (0.0, 2.5):
-            nodes, log_weights = oracle._gl_nodes(order, alpha)
+        for alpha in (0.0, 0.5, 2.5):
+            nodes, log_weights = oracle._gl_rule(order, alpha)
             ref_nodes, ref_weights = roots_genlaguerre(order, alpha)
             np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-12)
             kept = ref_weights > 1e-300
@@ -119,9 +127,9 @@ def test_gl_weights_accurate_relative_to_their_size():
 def test_radial_overlaps_fail_loudly_on_lost_weights(monkeypatch):
     # weights floored at 1e-16 of the largest, the absolute accuracy of
     # eigenvector-derived weights, must raise rather than yield a number
-    nodes, log_weights = oracle._gl_nodes(1200, 0.5)
+    nodes, log_weights = oracle._gl_rule(1200, 0.5)
     floored = np.maximum(log_weights, np.max(log_weights) + math.log(1e-16))
-    monkeypatch.setattr(oracle, "_gl_nodes", lambda order, alpha: (nodes, floored))
+    monkeypatch.setattr(oracle, "_gl_rule", lambda order, alpha: (nodes, floored))
     with pytest.raises(FloatingPointError):
         oracle.quadrature_radial_overlaps(1, 50, 1200)
 
@@ -180,14 +188,13 @@ def test_count_at_without_entries_raises_value_error():
         d.count_at(0.87)
 
 
-def _decomposition_one_entry_at_a_time(plate, l_window, p_max,
-                                       radial=_reference_radial_overlaps):
+def _decomposition_one_entry_at_a_time(plate, l_window, p_max):
     """Entries built one (l, p) at a time and sorted on the key (-power, l, p)."""
     entries = []
     for l, a_l in oam_spectrum(plate_state(plate, 0), *l_window):
         if abs(a_l) < 1e-14:
             continue
-        coeffs = a_l * radial(l, p_max)
+        coeffs = a_l * _reference_radial_overlaps(l, p_max)
         powers = np.abs(coeffs) ** 2
         for p in range(p_max + 1):
             if powers[p] > 1e-16:
@@ -199,22 +206,19 @@ def _decomposition_one_entry_at_a_time(plate, l_window, p_max,
 _MASK = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)))
 
 
-@pytest.mark.parametrize("plate, l_window, p_max, order, ties", [
-    pytest.param(Spiral(0.5), (-60, 61), 40, None, None, id="0.5-l_window0"),
-    pytest.param(Spiral(2.5), (-58, 63), 40, None, None, id="2.5-l_window1"),
-    pytest.param(Spiral(2.0), (-5, 5), 40, None, None, id="2.0-l_window2"),
+@pytest.mark.parametrize("plate, l_window, p_max, ties", [
+    pytest.param(Spiral(0.5), (-60, 61), 40, None, id="0.5-l_window0"),
+    pytest.param(Spiral(2.5), (-58, 63), 40, None, id="2.5-l_window1"),
+    pytest.param(Spiral(2.0), (-5, 5), 40, None, id="2.0-l_window2"),
     # every entry of Step(pi) and of the mask has the power of its -l
     # partner, bit for bit: the tie falls to the smaller l, then p
-    *[pytest.param(plate, (-20, 20), 30, order, ties, id=f"{name}-order{order}")
-      for name, plate, ties in (("step_pi", Step(math.pi), 620),
-                                ("step_half_pi", Step(math.pi / 2), None), ("mask", _MASK, 310))
-      for order in (None, 120)],
+    pytest.param(Step(math.pi), (-20, 20), 30, 620, id="step_pi"),
+    pytest.param(Step(math.pi / 2), (-20, 20), 30, None, id="step_half_pi"),
+    pytest.param(_MASK, (-20, 20), 30, 310, id="mask"),
 ])
-def test_decomposition_equals_the_entry_by_entry_build(plate, l_window, p_max, order, ties):
-    d = decompose_plate_output(plate, l_window=l_window, p_max=p_max, quadrature_order=order)
-    radial = _reference_radial_overlaps if order is None else (
-        lambda l, p_max: oracle.quadrature_radial_overlaps(l, p_max, order))
-    assert d.entries == _decomposition_one_entry_at_a_time(plate, l_window, p_max, radial)
+def test_decomposition_equals_the_entry_by_entry_build(plate, l_window, p_max, ties):
+    d = decompose_plate_output(plate, l_window=l_window, p_max=p_max)
+    assert d.entries == _decomposition_one_entry_at_a_time(plate, l_window, p_max)
     assert all(type(l) is int and type(p) is int and type(c) is complex and type(w) is float
                for l, p, c, w in d.entries)
     if plate == Spiral(2.0):
@@ -223,15 +227,6 @@ def test_decomposition_equals_the_entry_by_entry_build(plate, l_window, p_max, o
         powers = {(l, p): w for l, p, _, w in d.entries}
         assert len(d.entries) == ties
         assert all(powers[-l, p] == w for l, p, _, w in d.entries)
-
-
-def test_quadrature_decomposition_equals_the_entry_by_entry_build():
-    order = 120
-    d = decompose_plate_output(Spiral(0.5), l_window=(-6, 7), p_max=20, quadrature_order=order)
-    expected = _decomposition_one_entry_at_a_time(
-        Spiral(0.5), (-6, 7), 20,
-        radial=lambda l, p_max: oracle.quadrature_radial_overlaps(l, p_max, order))
-    assert d.entries == expected
 
 
 def _count_calls(monkeypatch, module, name):
@@ -248,15 +243,11 @@ def _count_calls(monkeypatch, module, name):
 
 def test_decomposition_evaluates_its_radial_overlaps_once(monkeypatch):
     # the overlaps depend on |l| alone: one closed-form call over the
-    # distinct |l|, one quadrature call per distinct |l|
+    # distinct |l|
     closed = _count_calls(monkeypatch, lgfield, "radial_overlaps")
-    quadrature = _count_calls(monkeypatch, oracle, "quadrature_radial_overlaps")
     decompose_plate_output(Spiral(0.5), l_window=(-60, 61), p_max=120)
-    assert len(closed) == 1 and not quadrature
-    assert closed[0][0].tolist() == list(range(62))
-    decompose_plate_output(Spiral(0.5), l_window=(-6, 7), p_max=20, quadrature_order=120)
     assert len(closed) == 1
-    assert sorted(al for al, *_ in quadrature) == list(range(8))
+    assert closed[0][0].tolist() == list(range(62))
 
 
 def test_window_without_kept_amplitudes_is_empty_and_incomplete(tmp_path, capsys, monkeypatch):

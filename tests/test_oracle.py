@@ -7,10 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
-from oamsim import oracle, overlap
+from oamsim import lgfield, oracle, overlap
 from oamsim.angular import TWO_PI, AngularGrid
 from oamsim.bell import POLARIZATION_SETTINGS
 from oamsim.lgfield import radial_overlaps
@@ -235,51 +233,27 @@ def test_write_jsonl(tmp_path):
 
 
 def test_quadrature_radial_overlaps_match_closed_form():
-    # the criterion-6 window of the l = 5/2 plate, at its quadrature order;
-    # its rules are built in one batch, as the decomposition builds them
-    oracle.fill_gl_rules(558, [abs(l) / 2.0 for l in range(-58, 64)])
+    # the criterion-6 window of the l = 5/2 plate, at its quadrature order
     for l in range(-58, 64):
         np.testing.assert_allclose(quadrature_radial_overlaps(l, 200, 558),
                                    radial_overlaps(l, 200), rtol=0, atol=1e-12)
 
 
-def _per_alpha_gl_rule(order, alpha):
-    """Nodes and Christoffel log-weights for one alpha by the 1-D
-    recurrence: the reference the batched recurrence must reproduce."""
-    k = np.arange(order, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-    q_prev = np.zeros_like(nodes)
-    q = np.ones_like(nodes)
-    total = np.ones_like(nodes)
-    exponent = np.zeros(nodes.shape, dtype=np.int64)
-    for j in range(order - 1):
-        back = off[j - 1] * q_prev if j else 0.0
-        q_prev, q = q, ((nodes - diag[j]) * q - back) / off[j]
-        total += q * q
-        shift = np.frexp(total)[1] // 2
-        q = np.ldexp(q, -shift)
-        q_prev = np.ldexp(q_prev, -shift)
-        total = np.ldexp(total, -2 * shift)
-        exponent += shift
-    return nodes, gammaln(alpha + 1.0) - np.log(total) - 2.0 * math.log(2.0) * exponent
+def test_quadrature_radial_overlaps_use_two_rules():
+    # x^floor(|l|/2) folds into the weights: the rules for alpha = 0 and
+    # 1/2 serve the whole window, not one rule per |l|
+    oracle._gl_rule.cache_clear()
+    for l in range(-58, 64):
+        quadrature_radial_overlaps(l, 200, 558)
+    assert oracle._gl_rule.cache_info().currsize == 2
+    # the cached rules are shared by every caller
+    nodes, log_weights = oracle._gl_rule(558, 0.5)
+    assert not nodes.flags.writeable and not log_weights.flags.writeable
 
 
-def test_batched_gl_rules_match_per_alpha_recurrence(monkeypatch):
-    monkeypatch.setattr(oracle, "_GL_RULES", {})  # every rule built here, in one batch
-    for order, alphas in ((60, (0.0, 0.5, 2.5)), (558, (0.5, 1.0, 29.5, 31.5))):
-        oracle.fill_gl_rules(order, alphas)
-        for alpha in alphas:
-            nodes, log_weights = oracle._gl_nodes(order, alpha)
-            ref_nodes, ref_log_weights = _per_alpha_gl_rule(order, alpha)
-            assert np.array_equal(nodes, ref_nodes), (order, alpha)
-            assert np.array_equal(log_weights, ref_log_weights), (order, alpha)
-
-
-def _oracle_imports():
-    """Every module and name that oracle.py imports."""
-    with open(oracle.__file__) as fh:
+def _imports(module):
+    """Every module and name that the module's source imports."""
+    with open(module.__file__) as fh:
         tree = ast.parse(fh.read())
     names = set()
     for node in ast.walk(tree):
@@ -292,12 +266,18 @@ def _oracle_imports():
 
 def test_oracle_does_not_import_lgfield():
     # an oracle built on the code it checks would check nothing
-    names = _oracle_imports()
+    names = _imports(oracle)
     assert not any("lgfield" in name for name in names), names
+
+
+def test_lgfield_does_not_import_oracle():
+    # the closed forms must not lean on the oracle that checks them
+    names = _imports(lgfield)
+    assert not any("oracle" in name for name in names), names
 
 
 def test_oracle_does_not_import_the_closed_form_machinery():
     # the oracle may import the laws it checks, never what builds them
     machinery = {"_pieces", "profile", "sector_intervals", "wrap_intervals", "plate_state",
                  "inner_product", "ClosedForm", "covariogram", "_arcs"}
-    assert not machinery & _oracle_imports()
+    assert not machinery & _imports(oracle)
