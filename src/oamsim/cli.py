@@ -33,10 +33,11 @@ import sys
 from . import bell, overlap, plates, twophoton
 
 # upper bounds of the sizing flags: each keeps one run's time and memory
-# bounded (a --grid of N holds at most one and a half N x N complex arrays,
-# 384 MiB at 4096; --budget and --sectors set the search's mask evaluations
-# and their size; --samples the rows of a fringe; --p-max and --l-halfwidth
-# the rows of a decomposition)
+# bounded (a --grid of N holds one and a half N x N complex arrays and one
+# block of N/64 of their rows per thread, under 400 MiB at 4096; --budget
+# and --sectors set the search's mask evaluations and their size; --samples
+# the rows of a fringe; --p-max and --l-halfwidth the rows of a
+# decomposition)
 LIMITS = {
     "budget": 1_000_000,
     "sectors": 16,

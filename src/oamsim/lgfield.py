@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -271,15 +272,20 @@ def peak_radius(intensity: np.ndarray) -> float:
     """Radius (pixels) maximizing the azimuthally averaged intensity; falls
     back to the half-maximum radius when the peak sits on the axis."""
     n = intensity.shape[0]
+    maxbin = n // 2
     # r^2 is an exact integer (plus 1/2 for odd n), at least 1/4 from any
     # (m + 1/2)^2, so a sqrt off by an ulp still rounds to the right bin
     square = (np.arange(n) - n / 2.0) ** 2
-    bins = np.add.outer(square, square)
-    bins = np.rint(np.sqrt(bins, out=bins), out=bins).astype(int)
-    maxbin = n // 2
-    sums = np.bincount(bins.ravel(), weights=intensity.ravel(), minlength=maxbin + 1)
-    counts = np.bincount(bins.ravel(), minlength=maxbin + 1)
-    mean = sums[: maxbin + 1] / np.maximum(counts[: maxbin + 1], 1)
+    sums, counts = np.zeros(maxbin + 1), np.zeros(maxbin + 1, dtype=np.int64)
+    # the bins of 16384 pixels at a time, never of the whole grid
+    step = max(1, 16384 // n)
+    for s in range(0, n, step):
+        bins = np.add.outer(square[s:s + step], square)
+        bins = np.rint(np.sqrt(bins, out=bins), out=bins).astype(int).ravel()
+        sums += np.bincount(bins, weights=intensity[s:s + step].ravel(),
+                            minlength=maxbin + 1)[: maxbin + 1]
+        counts += np.bincount(bins, minlength=maxbin + 1)[: maxbin + 1]
+    mean = sums / np.maximum(counts, 1)
     best = int(np.argmax(mean))
     if best >= 2:
         return float(best)
@@ -288,13 +294,38 @@ def peak_radius(intensity: np.ndarray) -> float:
     return float(below[0]) if len(below) else float(maxbin // 2)
 
 
+def _on_two_threads(work, n: int) -> None:
+    """work(0, n/2) in the calling thread and work(n/2, n) in a helper
+    thread, joined before returning; an exception of either half is raised
+    here, the caller's first."""
+    failed = []
+
+    def second_half():
+        try:
+            work(n // 2, n)
+        except BaseException as exc:  # handed to the caller, raised there
+            failed.append(exc)
+
+    helper = threading.Thread(target=second_half)
+    helper.start()
+    try:
+        work(0, n // 2)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+
+
 def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
     """Fraunhofer far field of the plate acting on the fundamental Gaussian,
     w0 = 1.
 
     The waist field e^{-x^2} e^{-y^2}, one 1-D vector per axis, times the
     plate phase is sampled on a Cartesian grid of half-width ``extent`` (in
-    w0 units); its unitary Fourier transform keeps the total power.
+    w0 units); its unitary Fourier transform keeps the total power. The
+    image is built on two threads, first in row halves and then in column
+    halves. Every step is elementwise or a 1-D transform of one row or one
+    column, so the image is bit-identical to a one-thread build.
     """
     if n < 128 or n & (n - 1):
         raise ValueError("grid size must be a power of two >= 128")
@@ -317,14 +348,31 @@ def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
     gauss = np.exp(-(coords**2))
     # |profile| = 1, so |field|^2 sums to 1, and so does its unitary transform
     amplitude = gauss / math.sqrt(math.fsum(gauss**2)) * (-1.0) ** np.arange(n)
-    # arctan2 lies in [-pi, pi]: adding 2*pi to its negative angles is np.mod
-    theta = np.arctan2(coords[:, None], coords[None, :])
-    field = profile(plate, np.add(theta, TWO_PI, out=theta, where=theta < 0.0))
+    theta = np.empty((n, n))
+    field = np.empty((n, n), complex)
+    block = n // 64  # n/2 is a whole number of blocks, each from an even row
+
+    def rows(a, b):
+        # arctan2 lies in [-pi, pi]: adding 2*pi to its negative angles is np.mod
+        np.arctan2(coords[a:b, None], coords[None, :], out=theta[a:b])
+        for s in range(a, b, block):
+            t = theta[s:s + block]
+            phasor = profile(plate, np.add(t, TWO_PI, out=t, where=t < 0.0))
+            out = field[s:s + block]
+            np.multiply(phasor, amplitude[s:s + block, None], out=out)
+            del phasor  # freed before the next block's is built
+            out *= amplitude[None, :]
+            np.fft.fft(out, axis=1, norm="ortho", out=out)  # fft2's first axis, in place
+
+    _on_two_threads(rows, n)
     del theta
-    field *= amplitude[:, None]
-    field *= amplitude[None, :]
-    for axis in (1, 0):  # fft2's axis order, each pass in place
-        np.fft.fft(field, axis=axis, norm="ortho", out=field)
-    intensity = np.square(field.real)
-    intensity += np.square(field.imag, out=field.imag)
+    intensity = np.empty((n, n))
+
+    def columns(a, b):
+        out = field[:, a:b]
+        np.fft.fft(out, axis=0, norm="ortho", out=out)
+        np.square(out.real, out=intensity[:, a:b])
+        intensity[:, a:b] += np.square(out.imag, out=out.imag)
+
+    _on_two_threads(columns, n)
     return FarFieldImage(intensity, extent, plate)

@@ -458,6 +458,15 @@ def test_import_loads_no_numpy(tmp_path):
     assert _fresh_python("import sys, oamsim\n" + _LOADED, tmp_path).strip() == "[]"
 
 
+def test_far_field_loads_no_executor(tmp_path):
+    # the far field's helper thread comes from threading, which the package
+    # loads anyway, not from concurrent.futures
+    script = ("import sys\nfrom oamsim import Spiral, lgfield\n"
+              "lgfield.far_field(Spiral(3.5), n=128)\n"
+              "print('concurrent.futures' in sys.modules)")
+    assert _fresh_python(script, tmp_path).strip() == "False"
+
+
 # the package's names, which resolve whether or not lgfield has loaded
 _PACKAGE_NAMES = [
     "AngularGrid", "BellResult", "BellSettings", "BinarySectors", "ClosedForm",

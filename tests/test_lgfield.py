@@ -1,6 +1,7 @@
 """Tests for LG radial overlaps, decompositions, and far fields."""
 
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -424,9 +425,12 @@ def _image_metrics(image):
             image.asymmetry_metric(), image.on_axis_ratio())
 
 
-@pytest.mark.parametrize("n, extent", [(128, 8.0), (128, 32.0), (256, 16.0), (512, 128.0)])
-@pytest.mark.parametrize("plate", [*_FAR_FIELD_PLATES, Spiral(-1.7), Spiral(3.5, alpha=2.0)],
-                         ids=repr)
+# every plate on four grids, and the benchmark's 1024^2 grid of 16-row blocks
+@pytest.mark.parametrize("plate, n, extent", [
+    *((plate, n, extent) for plate in (*_FAR_FIELD_PLATES, Spiral(-1.7), Spiral(3.5, alpha=2.0))
+      for n, extent in ((128, 8.0), (128, 32.0), (256, 16.0), (512, 128.0))),
+    (Spiral(3.5), 1024, 16.0),
+], ids=repr)
 def test_far_field_equals_the_fft2_kernel_bit_for_bit(plate, n, extent, monkeypatch):
     image = far_field(plate, n=n, extent=extent)
     expected = lgfield.FarFieldImage(_fft2_kernel_intensity(plate, n, extent), extent, plate)
@@ -453,38 +457,45 @@ def test_profile_equals_the_mod_and_searchsorted_kernel_bit_for_bit():
 
 
 def test_far_field_without_the_sign_pattern_is_not_centred(monkeypatch):
-    # undoing the (-1)^(i+j) pattern at the input of the first axis pass
-    # leaves the uncentred transform, which the comparison above must reject
+    # undoing the (-1)^(i+j) pattern at the input of every row transform
+    # leaves the uncentred transform, which the comparison above must
+    # reject. Each block of rows starts on an even row, so the pattern over
+    # the block's own shape is the one its rows carry
     plate, n = Spiral(3.5), 256
     expected = _centred_transform_image(plate, n)
-    sign = np.where(np.add.outer(np.arange(n), np.arange(n)) % 2, -1.0, 1.0)
-    fft, passes = np.fft.fft, []
+    fft, axes = np.fft.fft, set()
 
-    def fft_without_the_signs(a, **kw):
-        passes.append(kw.get("axis"))
-        return fft(a * sign if len(passes) == 1 else a, **kw)
+    def fft_without_the_signs(a, axis, **kw):
+        axes.add(axis)
+        if axis == 1:
+            a = a * (-1.0) ** np.add.outer(np.arange(a.shape[0]), np.arange(a.shape[1]))
+        return fft(a, axis=axis, **kw)
 
     monkeypatch.setattr(lgfield.np.fft, "fft", fft_without_the_signs)
     got = far_field(plate, n=n).intensity
-    assert passes == [1, 0]
+    assert axes == {0, 1}
     assert float(np.max(np.abs(got - expected))) > 0.5 * float(np.max(expected))
 
 
 def test_far_field_peak_stays_within_its_live_grids():
-    # live sets in n x n complex grids (16 B a pixel), read step by step
-    # under tracemalloc. The FFT's axis passes run in place and add only
-    # 1-D buffers; the intensity then takes half a grid beside the spectrum.
-    # The bound adds a quarter grid for the 1-D vectors and bookkeeping; a
-    # meshgrid, a shift copy or an FFT output grid adds half a grid or more
+    # live sets in n x n complex grids (16 B a pixel), read under
+    # tracemalloc. The row phase holds the angles (real, half a grid), the
+    # field, and on each of the two threads one block of n/64 rows with the
+    # plate profile's temporaries; the column phase holds the field and the
+    # intensity (half a grid). The FFT's axis passes run in place and add
+    # only 1-D buffers. The bound adds a quarter grid for the blocks, the
+    # 1-D vectors and bookkeeping; a meshgrid, a shift copy, an FFT output
+    # grid or a profile of the whole grid adds half a grid or more
     n = 512
     grid = 16 * n * n
     for plate, live in (
-        # the angles (real, half a grid) and the phasor built from them
+        # the angles and the field; a block's phasor
         (Spiral(3.5), 1.5),
-        # the angles, the index array (half a grid) and the factors it gathers
+        # a block's index array and the factors it gathers; the bound also
+        # holds an index array over the whole grid (half a grid)
         (Step(math.pi / 2, alpha=0.3), 2.0),
-        # the angles, the gathered factors once the index array is freed,
-        # and the phasor they are multiplied by
+        # a block's gathered factors and the phasor they are multiplied by;
+        # the bound also holds whole-grid factors (one grid)
         (Spiral(1.5, alpha=1.0), 2.5),
     ):
         far_field(plate, n=n)  # first-call set-up outside the measurement
@@ -495,6 +506,39 @@ def test_far_field_peak_stays_within_its_live_grids():
         finally:
             tracemalloc.stop()
         assert peak <= (live + 0.25) * grid, f"{plate}: peak {peak / grid:.2f} complex grids"
+
+
+def _inline(work, n):
+    """_on_two_threads without the helper thread: both halves in the caller."""
+    work(0, n // 2)
+    work(n // 2, n)
+
+
+@pytest.mark.parametrize("n", [128, 512])  # blocks of 2 and of 8 rows
+@pytest.mark.parametrize("plate", [Spiral(3.5), Step(math.pi / 2, alpha=0.3),
+                                   _FAR_FIELD_PLATES[-1]], ids=repr)
+def test_far_field_on_two_threads_equals_one_thread_bit_for_bit(plate, n, monkeypatch):
+    threaded = far_field(plate, n=n).intensity
+    monkeypatch.setattr(lgfield, "_on_two_threads", _inline)
+    assert np.array_equal(threaded, far_field(plate, n=n).intensity)
+
+
+@pytest.mark.filterwarnings("error")  # an exception left in a thread fails the test
+def test_far_field_raises_the_helper_threads_exception(monkeypatch):
+    raised = []
+
+    def profile_on_the_main_thread_only(plate, theta):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(RuntimeError("profile off the main thread"))
+            raise raised[-1]
+        return profile(plate, theta)
+
+    monkeypatch.setattr(lgfield, "profile", profile_on_the_main_thread_only)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        far_field(Spiral(3.5), n=128)
+    assert excinfo.value is raised[0]
+    assert threading.active_count() == threads
 
 
 def test_far_field_vortex_has_on_axis_null():
@@ -517,6 +561,21 @@ def test_far_field_power_conserved():
 def test_peak_radius_fallback_for_on_axis_peak():
     image = far_field(Spiral(0.0), n=256)
     assert peak_radius(image.intensity) >= 1.0
+
+
+def test_peak_radius_builds_its_bins_in_blocks():
+    # a whole-grid bin array would take a float grid and an int grid
+    n = 1024
+    intensity = far_field(Spiral(3.5), n=n).intensity
+    peak_radius(intensity)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        peak_radius(intensity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 8 * n * n
+    assert peak < grid / 8, f"peak {peak / grid:.3f} float grids"
 
 
 def test_far_field_pgm_and_sidecar(tmp_path):
