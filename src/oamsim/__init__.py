@@ -23,12 +23,12 @@ from .bell import (
 )
 from .overlap import (
     SampledCurve,
+    UnsupportedAnalyzerError,
     sample_curve,
     spiral_overlap_probability,
     step_overlap_probability,
 )
 from .plates import BinarySectors, PhasePlate, Spiral, Step, plate_state
-from .twophoton import UnsupportedAnalyzerError, coincidence_fringe
 
 # lgfield imports numpy, so it and its names load on first access (PEP 562)
 # and `import oamsim` runs on the standard library

@@ -27,10 +27,11 @@ import math
 import operator
 import re
 import sys
+from dataclasses import replace
 
 # lgfield and oracle import numpy, so the commands that need them import them
 # themselves, and bell on a spiral or step plate runs on the standard library
-from . import bell, overlap, plates, twophoton
+from . import bell, overlap, plates
 
 # upper bounds of the sizing flags: each keeps one run's time and memory
 # bounded (a --grid of N holds one and a half N x N complex arrays and one
@@ -147,17 +148,18 @@ def _settings_from_args(args, plate=None) -> bell.BellSettings:
 def cmd_fringe(args) -> int:
     plate = _plate_from_args(args)
     if args.verify:
-        from .oracle import OracleMismatch, verify_fringe_sample
+        from .oracle import OracleMismatch, verify_overlap
     else:
         OracleMismatch = ()  # an empty tuple of exception types catches nothing
     try:
         if args.kind == "overlap":
             curve = overlap.sample_curve(plate, args.samples, verify=args.verify)
         else:
-            curve = twophoton.coincidence_fringe(plate, args.samples)
+            curve = replace(overlap.sample_curve(plate, args.samples),
+                            header=("delta_rad", "coincidence_probability"))
             if args.verify:
                 for d, _ in curve.samples:
-                    verify_fringe_sample(plate, d).require()
+                    verify_overlap(plate, d).require()
     except OracleMismatch as exc:
         print(f"oracle mismatch: {exc}", file=sys.stderr)
         return 1
@@ -176,7 +178,7 @@ def cmd_bell(args) -> int:
         plate = _plate_from_args(args)
         settings = _settings_from_args(args, plate)
         result = bell.chsh_s(
-            lambda d: twophoton.fringe_probability(plate, d), settings,
+            lambda d: overlap.closed_form_probability(plate, d), settings,
             fringe_id=plates.to_json(plate))
     if args.out:
         result.write_json(args.out)

@@ -13,10 +13,12 @@ by quadrature, as an independent check.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,9 +77,12 @@ class LgDecomposition:
     target_power: float
     angular_tail: float  # power outside the l window (analytic for the window states)
 
-    @property
+    @cached_property
     def cumulative_powers(self) -> np.ndarray:
-        return np.cumsum([e[3] for e in self.entries])
+        """Running sums of the entries' powers, left to right, read-only."""
+        cum = np.cumsum([e[3] for e in self.entries])
+        cum.flags.writeable = False
+        return cum
 
     @property
     def window_power(self) -> float:
@@ -98,18 +103,12 @@ class LgDecomposition:
         return int(idx) + 1
 
     def write_csv(self, path):
-        import csv
-
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["l", "p", "re", "im", "power", "cumulative_power"])
-            cum = 0.0
-            for l, p, coef, power in self.entries:
-                cum += power
-                writer.writerow(
-                    [l, p, f"{coef.real:.12g}", f"{coef.imag:.12g}",
-                     f"{power:.12g}", f"{cum:.12g}"]
-                )
+            for (l, p, coef, power), cum in zip(self.entries, self.cumulative_powers.tolist()):
+                writer.writerow([l, p, f"{coef.real:.12g}", f"{coef.imag:.12g}",
+                                 f"{power:.12g}", f"{cum:.12g}"])
 
 
 def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,

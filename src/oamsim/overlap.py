@@ -1,13 +1,17 @@
-"""Closed-form rotation-overlap laws for the three plate families, and the
-sampled-curve table that both these laws and the coincidence fringes use.
+"""Closed-form rotation-overlap laws for the three plate families, in floats
+and, where rational in delta/pi, in Fractions, and their sampled curves.
 
 Each function returns the overlap between a plate-generated basis state and
 the same state with its edge rotated, as derived analytically; the
-oracle module re-derives every value by angular quadrature. A binary mask's
-overlap follows from the set covariogram of its sectors, computed in numpy
-for whole batches of masks or angles, in blocks of bounded size, and, on
-Fractions of pi, exactly: from arc starts in [0, period] (others raise),
-wrapping only the deltas with np.mod, with the rows innermost.
+oracle module re-derives every value by angular quadrature. The law is also
+the coincidence rate behind two analyzer plates at relative angle delta for
+a pump without OAM, the radial and fiber factors cancelling in the
+correlation function: the parabola (1 - delta/pi)^2 at half-integer steps.
+A binary mask's overlap follows from the set covariogram of its sectors,
+computed in numpy for whole batches of masks or angles, in blocks of bounded
+size, and, on Fractions of pi, exactly: from arc starts in [0, period]
+(others raise), wrapping only the deltas with np.mod, with the rows
+innermost.
 
 For the step plate the printed amplitude 1 + (alpha/pi)(cos(phi) - 1) only
 stays inside the unit disk for alpha >= 0; the first-principles integral is
@@ -20,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .angular import TWO_PI, AngularGrid, wrap_angle
 from .plates import BinarySectors, PhasePlate, Spiral, Step
@@ -166,6 +171,42 @@ def closed_form_probability(plate, alpha: float) -> float:
     if isinstance(plate, BinarySectors):
         return float(binary_mask_probabilities(plate.phi, *_arcs(plate.sectors), (alpha,))[0])
     raise TypeError(f"unknown plate {type(plate).__name__}")
+
+
+# sin^2(lam pi) at the fractional steps lam in [0, 1/2] where it is rational
+# (Niven's theorem); the mirror steps 1 - lam share it
+_RATIONAL_SIN2 = ((Fraction(0), Fraction(0)), (Fraction(1, 6), Fraction(1, 4)),
+                  (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 4)),
+                  (Fraction(1, 2), Fraction(1)))
+
+_TOL = 1e-12
+
+
+class UnsupportedAnalyzerError(ValueError):
+    """Analyzer plate whose fringe is not rational in the relative angle."""
+
+
+def closed_form_probability_exact(plate, t: Fraction) -> Fraction:
+    """Exact-rational fringe value at delta = t*pi, for the plates whose
+    fringe is rational in t: a spiral whose fractional step lam has a
+    rational sin^2(lam pi), that is lam in {0, 1/6, 1/4, 1/3, 1/2} or
+    1 - lam, with 1 - s2 + s2 (1 - t)^2; a step plate of phi in {pi, pi/2}.
+    Any other plate raises UnsupportedAnalyzerError."""
+    t = t % 2
+    if isinstance(plate, Spiral):
+        lam = plate.ell - math.floor(plate.ell)
+        for step, s2 in _RATIONAL_SIN2:
+            if min(abs(lam - step), abs(1 - step - lam)) <= _TOL:
+                return 1 - s2 + s2 * (1 - t) ** 2
+        raise UnsupportedAnalyzerError(f"sin^2(lam pi) is irrational at the fractional step {lam}")
+    if isinstance(plate, Step):
+        m = min(t, 2 - t)
+        if abs(plate.phi - math.pi) <= _TOL:
+            return (1 - 2 * m) ** 2
+        if abs(plate.phi - math.pi / 2) <= _TOL:
+            return (1 - m) ** 2
+        raise UnsupportedAnalyzerError("exact step fringe defined for phi in {pi, pi/2}")
+    raise UnsupportedAnalyzerError("no exact-rational fringe for this plate family")
 
 
 def closed_form_probabilities(plate, angles) -> list:

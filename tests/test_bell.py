@@ -21,18 +21,18 @@ from oamsim.bell import (
     s4_certificate,
     search_max_s,
 )
-from oamsim.overlap import binary_mask_fringe_exact, sample_curve
-from oamsim.plates import BinarySectors, Spiral, Step
-from oamsim.twophoton import (
+from oamsim.overlap import (
     UnsupportedAnalyzerError,
-    coincidence_fringe,
-    fringe_probability,
-    fringe_probability_exact,
+    binary_mask_fringe_exact,
+    closed_form_probability,
+    closed_form_probability_exact,
+    sample_curve,
 )
+from oamsim.plates import BinarySectors, Spiral, Step
 
 
 def _plate_fringe(plate):
-    return lambda delta: fringe_probability(plate, delta)
+    return lambda delta: closed_form_probability(plate, delta)
 
 
 def test_settings_validation():
@@ -52,7 +52,7 @@ def test_spiral_bell_parameter():
 
 
 def test_spiral_bell_parameter_exact():
-    s = chsh_s_exact(lambda t: fringe_probability_exact(Spiral(0.5), t),
+    s = chsh_s_exact(lambda t: closed_form_probability_exact(Spiral(0.5), t),
                      SPIRAL_SETTINGS_PI)
     assert s == Fraction(16, 5)
 
@@ -63,7 +63,7 @@ def test_spiral_bell_parameter_exact():
 def test_fractional_spiral_bell_parameter_exact(lam, s):
     # S = 16 s2 / (16 - 11 s2) with s2 = sin^2(lam pi), the same at the mirror step
     for ell in (float(lam), float(1 - lam), 1 + float(lam)):
-        exact = chsh_s_exact(lambda t: fringe_probability_exact(Spiral(ell), t),
+        exact = chsh_s_exact(lambda t: closed_form_probability_exact(Spiral(ell), t),
                              SPIRAL_SETTINGS_PI)
         assert exact == s
         assert chsh_s(_plate_fringe(Spiral(ell)), SPIRAL_SETTINGS).s == pytest.approx(
@@ -73,7 +73,7 @@ def test_fractional_spiral_bell_parameter_exact(lam, s):
 @pytest.mark.parametrize("ell", [0.3, 1.3, 0.4, -0.1, 0.5 + 1e-9])
 def test_irrational_sin2_has_no_exact_bell_parameter(ell):
     with pytest.raises(UnsupportedAnalyzerError):
-        chsh_s_exact(lambda t: fringe_probability_exact(Spiral(ell), t), SPIRAL_SETTINGS_PI)
+        chsh_s_exact(lambda t: closed_form_probability_exact(Spiral(ell), t), SPIRAL_SETTINGS_PI)
 
 
 def _spiral_s(lam):
@@ -102,7 +102,7 @@ def test_spiral_bell_parameter_crossings():
 def test_step_pi_bell_parameter():
     result = chsh_s(_plate_fringe(Step(math.pi)), POLARIZATION_SETTINGS)
     assert result.s == pytest.approx(3.2, abs=1e-12)
-    exact = chsh_s_exact(lambda t: fringe_probability_exact(Step(math.pi), t),
+    exact = chsh_s_exact(lambda t: closed_form_probability_exact(Step(math.pi), t),
                          POLARIZATION_SETTINGS_PI)
     assert exact == Fraction(16, 5)
 
@@ -110,7 +110,7 @@ def test_step_pi_bell_parameter():
 def test_step_half_pi_bell_parameter():
     result = chsh_s(_plate_fringe(Step(math.pi / 2)), SPIRAL_SETTINGS)
     assert result.s == pytest.approx(3.2, abs=1e-12)
-    exact = chsh_s_exact(lambda t: fringe_probability_exact(Step(math.pi / 2), t),
+    exact = chsh_s_exact(lambda t: closed_form_probability_exact(Step(math.pi / 2), t),
                          SPIRAL_SETTINGS_PI)
     assert exact == Fraction(16, 5)
 
@@ -136,7 +136,7 @@ _VANISHING_MASK = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math
 
 def test_numpy_scalar_fringe_keeps_the_scalar_path():
     with pytest.raises(DegenerateFringeError):
-        chsh_s(lambda d: np.float64(fringe_probability(_VANISHING_MASK, d)), SPIRAL_SETTINGS)
+        chsh_s(lambda d: np.float64(closed_form_probability(_VANISHING_MASK, d)), SPIRAL_SETTINGS)
     cos2 = chsh_s(lambda d: math.cos(d) ** 2, POLARIZATION_SETTINGS)
     assert chsh_s(lambda d: np.float64(math.cos(d) ** 2), POLARIZATION_SETTINGS).s == cos2.s
 
@@ -178,7 +178,7 @@ def test_quarter_sector_mask_reaches_four_exactly():
     half = binary_mask_fringe_exact(((0, 1),))
     for k in range(16):
         t = Fraction(k, 8)
-        assert half(t) == fringe_probability_exact(Step(math.pi), t)
+        assert half(t) == closed_form_probability_exact(Step(math.pi), t)
     assert chsh_s_exact(half, POLARIZATION_SETTINGS_PI) == Fraction(16, 5)
 
 
@@ -323,7 +323,6 @@ def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
     monkeypatch.setattr(overlap, "covariogram", checked)
     search_max_s(16, math.pi, budget=2000, seed=0)
     mask = BinarySectors(math.pi, tuple((0.3 * i, 0.3 * i + 0.2) for i in range(16)))
-    coincidence_fringe(mask, 100000)
     sample_curve(mask, 100000)
     assert sizes and max(sizes) <= overlap._COVARIOGRAM_ELEMENTS
 

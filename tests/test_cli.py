@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oamsim
-from oamsim import bell, lgfield, oracle, overlap, plates, twophoton
+from oamsim import bell, lgfield, oracle, overlap, plates
 from oamsim.cli import LIMITS, InputError, build_parser, main, parse_angle
 
 
@@ -62,8 +62,7 @@ def _refuse_work(*args, **kwargs):
 
 def _refuse_all_work(monkeypatch):
     for module, name in ((bell, "search_max_s"), (bell, "chsh_s"), (lgfield, "far_field"),
-                         (lgfield, "decompose_plate_output"), (overlap, "sample_curve"),
-                         (twophoton, "coincidence_fringe")):
+                         (lgfield, "decompose_plate_output"), (overlap, "sample_curve")):
         monkeypatch.setattr(module, name, _refuse_work)
 
 
@@ -132,7 +131,7 @@ def test_fringe_fractional_spiral_verified(tmp_path, capsys):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     assert len(rows) == 64
     for delta, p in rows:
-        report = oracle.verify_fringe_sample(plates.Spiral(0.3), float(delta))
+        report = oracle.verify_overlap(plates.Spiral(0.3), float(delta))
         assert report.passed and abs(report.closed_form - float(p)) <= 1e-12
     assert capsys.readouterr().out == "64 samples, min probability 0.345491502813\n"
 
@@ -186,6 +185,21 @@ def test_fringe_coincidence_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta_rad,coincidence_probability"
     assert len(lines) == 91
+
+
+@pytest.mark.parametrize("plate", [["--ell", "0.25"], ["--ell", "2.5"],
+                                   ["--plate", "step", "--phi", "pi/3"]],
+                         ids=["spiral-quarter", "spiral-5/2", "step-third"])
+def test_coincidence_fringe_is_the_sampled_overlap_law(tmp_path, plate):
+    # the two kinds differ in their header only
+    csv = {}
+    for kind in ("coincidence", "overlap"):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["fringe", "--kind", kind, "--samples", "97", "--out", str(out)] + plate) == 0
+        csv[kind] = out.read_text().splitlines()
+    assert csv["coincidence"][0] == "delta_rad,coincidence_probability"
+    assert csv["overlap"][0] == "alpha_rad,probability"
+    assert csv["coincidence"][1:] == csv["overlap"][1:] and len(csv["overlap"]) == 98
 
 
 def test_fringe_overlap_verified(tmp_path):
@@ -473,10 +487,9 @@ _PACKAGE_NAMES = [
     "DegenerateFringeError", "FarFieldImage", "LgDecomposition", "MaskSearchResult",
     "POLARIZATION_SETTINGS", "PhasePlate", "SPIRAL_SETTINGS", "SampledCurve", "Spiral", "Step",
     "UnsupportedAnalyzerError", "angular", "bell", "chsh_s", "chsh_s_exact",
-    "coincidence_fringe", "decompose_plate_output", "far_field", "inner_product",
-    "integer_mode", "lgfield", "oam_spectrum", "overlap", "plate_state", "plates",
-    "sample_curve", "search_max_s", "spiral_overlap_probability", "step_overlap_probability",
-    "twophoton",
+    "decompose_plate_output", "far_field", "inner_product", "integer_mode", "lgfield",
+    "oam_spectrum", "overlap", "plate_state", "plates", "sample_curve", "search_max_s",
+    "spiral_overlap_probability", "step_overlap_probability",
 ]
 
 

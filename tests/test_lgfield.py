@@ -170,6 +170,20 @@ def test_decomposition_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "l,p,re,im,power,cumulative_power"
     assert len(lines) == len(d.entries) + 1
+    # the cumulative column is the left-to-right running sum of the powers
+    running = 0.0
+    for line, (*_, power) in zip(lines[1:], d.entries):
+        running += power
+        assert line.split(",")[5] == f"{running:.12g}"
+
+
+def test_cumulative_powers_are_computed_once():
+    d = decompose_plate_output(Spiral(2.5), l_window=(-5, 6), p_max=10)
+    cum = d.cumulative_powers
+    assert d.cumulative_powers is cum and not cum.flags.writeable
+    assert cum.tolist() == np.cumsum([e[3] for e in d.entries]).tolist()
+    with pytest.raises(ValueError):
+        cum[0] = 0.0
 
 
 def test_count_at_raises_when_window_insufficient():

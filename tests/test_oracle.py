@@ -218,6 +218,14 @@ def test_verify_fringe_sample():
     assert report.abs_diff < 1e-10
 
 
+@pytest.mark.parametrize("plate", [Spiral(0.3), Step(math.pi / 2)])
+def test_verify_fringe_sample_is_verify_overlap(plate):
+    for delta in (0.4, math.pi, 5.1):
+        fringe, law = verify_fringe_sample(plate, delta), verify_overlap(plate, delta)
+        assert (fringe.closed_form, fringe.oracle, fringe.passed) == (
+            law.closed_form, law.oracle, law.passed)
+
+
 def test_verify_bell_both_setting_families():
     assert verify_bell(Spiral(0.5)).passed
     assert verify_bell(Step(math.pi), POLARIZATION_SETTINGS).passed

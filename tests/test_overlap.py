@@ -31,7 +31,6 @@ from oamsim.overlap import (
 )
 from oamsim.oracle import OracleMismatch
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state
-from oamsim.twophoton import fringe_probability
 
 
 def _direct_overlap(plate, alpha):
@@ -174,7 +173,7 @@ def test_mask_fringe_closure_equals_fringe_probability(mask):
         assert scores[1] == -math.inf
         assert alone[0] == scores[0]
         try:
-            direct = chsh_s(lambda d: fringe_probability(mask, d), bell_settings)
+            direct = chsh_s(lambda d: closed_form_probability(mask, d), bell_settings)
         except DegenerateFringeError:
             assert scores[0] == -math.inf
             with pytest.raises(DegenerateFringeError):
@@ -192,7 +191,7 @@ def test_mask_fringe_wraps_its_angle():
     deltas = (-1.0, 0.0, 2.5, TWO_PI + 2.5)
     fringe = binary_mask_probabilities(mask.phi, starts, widths, deltas)
     for delta, p in zip(deltas, fringe):
-        assert p == fringe_probability(mask, delta)
+        assert p == closed_form_probability(mask, delta)
 
 
 def test_covariogram_serves_floats_and_fractions():
