@@ -26,7 +26,6 @@ from .overlap import (
     UnsupportedAnalyzerError,
     sample_curve,
     spiral_overlap_probability,
-    step_overlap_probability,
 )
 from .plates import BinarySectors, PhasePlate, Spiral, Step, plate_state
 

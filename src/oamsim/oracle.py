@@ -3,8 +3,8 @@ is recomputed from first principles by angular quadrature, and the
 closed-form LG radial overlaps by generalized Gauss-Laguerre quadrature. A
 coincidence fringe is checked as the overlap law it equals for a flat state.
 
-The angular quadrature samples each plate's phase from the plate's own
-fields (``geometric_profile``), never through the piece and interval tables
+The angular quadrature samples each plate's phase from its own ell or
+sectors (``geometric_profile``), never through the piece and interval tables
 the closed forms are built from, so a wrong table cannot pass on both sides.
 Rotation angles are snapped to grid nodes before comparison so that, for
 plates whose edges lie on nodes, every phase jump of the integrand does too;
@@ -64,8 +64,8 @@ def _report(quantity, closed, oracle, grid, tol) -> OracleReport:
 def geometric_profile(plate, thetas) -> np.ndarray:
     """The plate's phase factor at each angle in [0, 2*pi), read from the
     plate's own fields in its local angle (theta - alpha) mod 2*pi:
-    e^{i*ell*local} for a spiral; e^{i*phi} where local < pi for a step and
-    where local lies in a listed sector for a binary mask, 1 elsewhere.
+    e^{i*ell*local} for a spiral; e^{i*phi} in the plate's ``sectors`` for
+    a step (the half-plane [0, pi)) or a binary mask, 1 elsewhere.
 
     Both theta and alpha lie in [0, 2*pi), so the difference is wrapped by
     adding 2*pi where it is negative, which is exactly what the mod gives.
@@ -81,12 +81,9 @@ def geometric_profile(plate, thetas) -> np.ndarray:
         np.cos(phase, out=phasor.real)
         np.sin(phase, out=phasor.imag)
         return phasor
-    if isinstance(plate, Step):
-        delayed = local < math.pi
-    else:
-        delayed = np.zeros(local.shape, dtype=bool)
-        for a, b in plate.sectors:
-            delayed |= (a <= local) & (local < b)
+    delayed = np.zeros(local.shape, dtype=bool)
+    for a, b in plate.sectors:
+        delayed |= (a <= local) & (local < b)
     return np.where(delayed, cmath.exp(1j * plate.phi), 1.0 + 0.0j)
 
 

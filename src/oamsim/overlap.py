@@ -1,5 +1,5 @@
-"""Closed-form rotation-overlap laws for the three plate families, in floats
-and, where rational in delta/pi, in Fractions, and their sampled curves.
+"""Closed-form rotation-overlap laws, in floats and, where rational in
+delta/pi, in Fractions, and their sampled curves.
 
 Each function returns the overlap between a plate-generated basis state and
 the same state with its edge rotated, as derived analytically; the
@@ -7,16 +7,15 @@ oracle module re-derives every value by angular quadrature. The law is also
 the coincidence rate behind two analyzer plates at relative angle delta for
 a pump without OAM, the radial and fiber factors cancelling in the
 correlation function: the parabola (1 - delta/pi)^2 at half-integer steps.
-A binary mask's overlap follows from the set covariogram of its sectors,
-computed in numpy for whole batches of masks or angles, in blocks of bounded
-size, and, on Fractions of pi, exactly: from arc starts in [0, period]
-(others raise), wrapping only the deltas with np.mod, with the rows
-innermost.
 
-For the step plate the printed amplitude 1 + (alpha/pi)(cos(phi) - 1) only
-stays inside the unit disk for alpha >= 0; the first-principles integral is
-symmetric in alpha, so the |alpha| form is implemented and the curve is
-reported on [0, 2*pi) by that symmetry.
+Steps and binary masks share the sector law |1 - (m/pi)(1 - cos(phi))|^2,
+m = measure(M \\ (M + delta)) of their delayed set M. A step's half-plane
+gives m = min(|delta|, 2*pi - |delta|): the printed amplitude
+1 + (alpha/pi)(cos(phi) - 1) leaves the unit disk for alpha < 0. A mask's m
+follows from the set covariogram of its sectors, computed in numpy for whole
+batches of masks or angles, in blocks of bounded size, and, on Fractions of
+pi, exactly: from arc starts in [0, period] (others raise), wrapping only
+the deltas with np.mod, with the rows innermost.
 """
 
 from __future__ import annotations
@@ -48,21 +47,6 @@ def spiral_overlap_probability(lam: float, alpha: float) -> float:
     a = wrap_angle(alpha)
     s = math.sin(lam * math.pi)
     return (1.0 - a / math.pi) ** 2 * s * s + (1.0 - s * s)
-
-
-def step_overlap_amplitude(phi: float, alpha: float) -> float:
-    """1 + (|alpha|/pi)(cos(phi) - 1) with alpha folded into [-pi, pi).
-
-    Real-valued: rotating the half-plane delay region preserves measure.
-    """
-    a = wrap_angle(alpha)
-    if a >= math.pi:
-        a = TWO_PI - a
-    return 1.0 + (a / math.pi) * (math.cos(phi) - 1.0)
-
-
-def step_overlap_probability(phi: float, alpha: float) -> float:
-    return step_overlap_amplitude(phi, alpha) ** 2
 
 
 def covariogram(starts, widths, deltas, period=TWO_PI):
@@ -141,43 +125,34 @@ def _displaced(starts, widths, deltas, period=TWO_PI):
     return out.reshape(lead + (d.size,))
 
 
-def _mask_amplitude(m, phi):
-    return 1.0 - (m / math.pi) * (1.0 - math.cos(phi))
-
-
-def binary_mask_probabilities(phi, starts, widths, deltas):
-    """|1 - (m/pi)(1 - cos(phi))|^2, m = measure(M \\ (M + delta)), at each
-    delta for each row of (..., k) arc starts and widths: the fringes of a
-    batch of masks, shape (..., D)."""
-    amplitude = _mask_amplitude(_displaced(starts, widths, deltas), phi)
+def _sector_law(m, half_turn, one_minus_cos):
+    """|1 - (m/half_turn)(1 - cos(phi))|^2, half a turn being pi or 1 (in pi)."""
+    amplitude = 1 - m / half_turn * one_minus_cos
     return amplitude * amplitude
 
 
-def binary_mask_fringe_exact(sectors):
-    """Exact fringe t -> (1 - 2m)^2 of a phi = pi mask whose sectors are
-    Fractions of pi, with m = measure(M \\ (M + t*pi)) / pi: the overlap
-    1 - (m/pi)(1 - cos(phi)) at phi = pi."""
-    starts, widths = _arcs(sectors)
-    return lambda t: (1 - 2 * _displaced(starts, widths, (t,), 2)[0]) ** 2
+def binary_mask_probabilities(phi, starts, widths, deltas):
+    """The sector law at each delta for each row of (..., k) arc starts and
+    widths: the fringes of a batch of masks, shape (..., D)."""
+    return _sector_law(_displaced(starts, widths, deltas), math.pi, 1.0 - math.cos(phi))
 
 
 def closed_form_probability(plate, alpha: float) -> float:
     """Rotation-overlap probability |<state(0)|state(alpha)>|^2 for any plate."""
     if isinstance(plate, Spiral):
-        lam = plate.ell - math.floor(plate.ell)
-        return spiral_overlap_probability(lam, alpha)
+        return spiral_overlap_probability(plate.ell - math.floor(plate.ell), alpha)
     if isinstance(plate, Step):
-        return step_overlap_probability(plate.phi, alpha)
+        a = wrap_angle(alpha)
+        return _sector_law(min(a, TWO_PI - a), math.pi, 1.0 - math.cos(plate.phi))
     if isinstance(plate, BinarySectors):
         return float(binary_mask_probabilities(plate.phi, *_arcs(plate.sectors), (alpha,))[0])
     raise TypeError(f"unknown plate {type(plate).__name__}")
 
 
-# sin^2(lam pi) at the fractional steps lam in [0, 1/2] where it is rational
-# (Niven's theorem); the mirror steps 1 - lam share it
-_RATIONAL_SIN2 = ((Fraction(0), Fraction(0)), (Fraction(1, 6), Fraction(1, 4)),
-                  (Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 4)),
-                  (Fraction(1, 2), Fraction(1)))
+# sin^2(x pi) at the x in [0, 1/2] where it is rational (Niven's theorem),
+# x as the float it is compared with; the mirrors 1 - x share it
+_RATIONAL_SIN2 = ((0.0, Fraction(0)), (1 / 6, Fraction(1, 4)), (1 / 4, Fraction(1, 2)),
+                  (1 / 3, Fraction(3, 4)), (1 / 2, Fraction(1)))
 
 _TOL = 1e-12
 
@@ -186,27 +161,44 @@ class UnsupportedAnalyzerError(ValueError):
     """Analyzer plate whose fringe is not rational in the relative angle."""
 
 
+def _rational_sin2(x, what) -> Fraction:
+    """sin^2(x pi) for an x that lies, mod 1, within _TOL of a table entry."""
+    x -= math.floor(x)
+    for step, s2 in _RATIONAL_SIN2:
+        if min(abs(x - step), abs(1 - step - x)) <= _TOL:
+            return s2
+    raise UnsupportedAnalyzerError(f"sin^2({what} pi) is irrational at {what} = {x}")
+
+
+def _fraction_of_pi(edge) -> Fraction:
+    """The edge in Fractions of pi, snapped within _TOL to a denominator of
+    at most 1000 (such fractions lie 1e-6 apart or more)."""
+    x = edge / math.pi
+    snapped = Fraction(x).limit_denominator(1000)
+    if abs(snapped - x) > _TOL:
+        raise UnsupportedAnalyzerError(f"mask edge {edge} is not a rational multiple of pi")
+    return snapped
+
+
 def closed_form_probability_exact(plate, t: Fraction) -> Fraction:
     """Exact-rational fringe value at delta = t*pi, for the plates whose
-    fringe is rational in t: a spiral whose fractional step lam has a
+    fringe is rational in t. A spiral whose fractional step lam has a
     rational sin^2(lam pi), that is lam in {0, 1/6, 1/4, 1/3, 1/2} or
-    1 - lam, with 1 - s2 + s2 (1 - t)^2; a step plate of phi in {pi, pi/2}.
-    Any other plate raises UnsupportedAnalyzerError."""
+    1 - lam, gives 1 - s2 + s2 (1 - t)^2. A step or mask whose
+    1 - cos(phi) = 2 sin^2(phi/2) is rational, phi a multiple of pi/3 or
+    pi/2, gives the sector law, a mask's edges snapped to Fractions of pi.
+    Any other plate or mask edge raises UnsupportedAnalyzerError."""
     t = t % 2
     if isinstance(plate, Spiral):
-        lam = plate.ell - math.floor(plate.ell)
-        for step, s2 in _RATIONAL_SIN2:
-            if min(abs(lam - step), abs(1 - step - lam)) <= _TOL:
-                return 1 - s2 + s2 * (1 - t) ** 2
-        raise UnsupportedAnalyzerError(f"sin^2(lam pi) is irrational at the fractional step {lam}")
+        s2 = _rational_sin2(plate.ell, "lam")
+        return 1 - s2 + s2 * (1 - t) ** 2
+    one_minus_cos = 2 * _rational_sin2(plate.phi / TWO_PI, "phi/2pi")
     if isinstance(plate, Step):
         m = min(t, 2 - t)
-        if abs(plate.phi - math.pi) <= _TOL:
-            return (1 - 2 * m) ** 2
-        if abs(plate.phi - math.pi / 2) <= _TOL:
-            return (1 - m) ** 2
-        raise UnsupportedAnalyzerError("exact step fringe defined for phi in {pi, pi/2}")
-    raise UnsupportedAnalyzerError("no exact-rational fringe for this plate family")
+    else:
+        sectors = [(_fraction_of_pi(a), _fraction_of_pi(b)) for a, b in plate.sectors]
+        m = _displaced(*_arcs(sectors), (t,), 2)[0]
+    return _sector_law(m, Fraction(1), one_minus_cos)
 
 
 def closed_form_probabilities(plate, angles) -> list:

@@ -1,11 +1,11 @@
 """Azimuthal phase plates as unitary operators on the angular Hilbert space.
 
 Three plate families are modeled: spiral plates with an arbitrary (possibly
-fractional) step index and an oriented edge dislocation, straight-edge step
-plates delaying one half-plane by a fixed phase, and general binary sector
-masks delaying an arbitrary union of angular sectors. Every plate acts by
-pointwise multiplication with a unimodular phase profile, so unitarity is
-structural.
+fractional) step index and an oriented edge dislocation, binary masks
+delaying a union of angular ``sectors`` by a fixed phase, and straight-edge
+step plates, the mask whose one sector is the half-plane [0, pi). Every
+plate acts by pointwise multiplication with a unimodular phase profile, so
+unitarity is structural.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .angular import TWO_PI, ClosedForm, wrap_angle
 
@@ -44,10 +45,12 @@ class Spiral:
 @dataclass(frozen=True)
 class Step:
     """Straight-edge plate: phase delay phi on the half-plane
-    [alpha, alpha+pi) mod 2*pi, unity elsewhere."""
+    [alpha, alpha+pi) mod 2*pi, unity elsewhere; the binary mask whose one
+    sector is [0, pi)."""
 
     phi: float
     alpha: float = 0.0
+    sectors: ClassVar[tuple] = ((0.0, math.pi),)
 
     def __post_init__(self):
         _require_finite(self, "phi", "alpha")
@@ -88,22 +91,14 @@ PhasePlate = Spiral | Step | BinarySectors
 
 def sector_intervals(plate) -> list:
     """Disjoint sorted intervals of [0, 2*pi) carrying the e^{i*phi} delay,
-    for Step and BinarySectors plates, with the rotation applied."""
-    if isinstance(plate, Step):
-        raw = [(plate.alpha, plate.alpha + math.pi)]
-    elif isinstance(plate, BinarySectors):
-        raw = [(a + plate.alpha, b + plate.alpha) for a, b in plate.sectors]
-    else:
+    for Step and BinarySectors plates: each sector rotated by alpha, its
+    start wrapped into [0, 2*pi) and an end past 2*pi wrapped round to 0.
+    Intervals touching across a 1e-15 gap merge."""
+    if isinstance(plate, Spiral):
         raise TypeError(f"no sector geometry for {type(plate).__name__}")
-    return wrap_intervals(raw)
-
-
-def wrap_intervals(raw) -> list:
-    """Disjoint sorted intervals of [0, 2*pi) covering the (a, b) pairs,
-    each shorter than a turn: a start wrapped into [0, 2*pi) and an end past
-    2*pi wrapped round to 0. Intervals touching across a 1e-15 gap merge."""
     out = []
-    for a, b in raw:
+    for a, b in plate.sectors:
+        a, b = a + plate.alpha, b + plate.alpha
         a, width = wrap_angle(a), b - a
         if a + width <= TWO_PI:
             out.append((a, a + width))
@@ -147,9 +142,14 @@ def _pieces(plate):
 
 def profile(plate, theta):
     """The plate's unimodular phase factor at angle(s) theta."""
+    return _phase_factors(_pieces(plate), theta)
+
+
+def _phase_factors(pieces, theta):
+    """The phase factor at angle(s) theta of a plate's _pieces."""
     import numpy as np
 
-    shift, boundaries, factors = _pieces(plate)
+    shift, boundaries, factors = pieces
     t = np.asarray(theta, dtype=float)
     # np.mod leaves angles in [0, 2*pi) as they are; NaN fails both tests
     if not (np.min(t, initial=0.0) >= 0.0 and np.max(t, initial=0.0) < TWO_PI):

@@ -38,7 +38,7 @@ from oamsim.oracle import (
     verify_fringe_sample,
     verify_overlap,
 )
-from oamsim.overlap import sample_curve, spiral_overlap_probability
+from oamsim.overlap import closed_form_probability, sample_curve, spiral_overlap_probability
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state, profile
 from oamsim.twophoton import fringe_probability, fringe_probability_exact
 
@@ -153,14 +153,12 @@ def test_criterion_5_overlap_curves(capsys):
             ok &= all(abs(p - 1.0) <= 1e-12
                       for a, p in sample_curve(Spiral(2.0), 64).samples)
         details.append(f"lam={lam}: min {at_pi:.6f}")
-    from oamsim.overlap import step_overlap_probability
-
     for phi in (0.0, math.pi / 2, math.pi):
         sample_curve(Step(phi), 64, verify=True)
         if phi == math.pi:
             period_dev = max(
-                abs(step_overlap_probability(phi, a)
-                    - step_overlap_probability(phi, a + math.pi))
+                abs(closed_form_probability(Step(phi), a)
+                    - closed_form_probability(Step(phi), a + math.pi))
                 for a in np.linspace(0.0, math.pi, 181)
             )
             ok &= period_dev <= 1e-12

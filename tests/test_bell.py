@@ -23,7 +23,6 @@ from oamsim.bell import (
 )
 from oamsim.overlap import (
     UnsupportedAnalyzerError,
-    binary_mask_fringe_exact,
     closed_form_probability,
     closed_form_probability_exact,
     sample_curve,
@@ -171,11 +170,15 @@ def test_half_plane_mask_bell_parameter():
 
 def test_quarter_sector_mask_reaches_four_exactly():
     # S = 4 certified in exact arithmetic, sectors and angles in units of pi
-    quarter = binary_mask_fringe_exact(((0, Fraction(1, 2)),))
-    s = chsh_s_exact(quarter, SPIRAL_SETTINGS_PI)
+    quarter = BinarySectors(math.pi, ((0.0, math.pi / 2),))
+    s = chsh_s_exact(lambda t: closed_form_probability_exact(quarter, t), SPIRAL_SETTINGS_PI)
     assert s == Fraction(4) and isinstance(s, Fraction)
     # the half-plane mask is the phi = pi step plate, on the exact path too
-    half = binary_mask_fringe_exact(((0, 1),))
+    mask = BinarySectors(math.pi, ((0.0, math.pi),))
+
+    def half(t):
+        return closed_form_probability_exact(mask, t)
+
     for k in range(16):
         t = Fraction(k, 8)
         assert half(t) == closed_form_probability_exact(Step(math.pi), t)

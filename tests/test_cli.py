@@ -489,7 +489,7 @@ _PACKAGE_NAMES = [
     "UnsupportedAnalyzerError", "angular", "bell", "chsh_s", "chsh_s_exact",
     "decompose_plate_output", "far_field", "inner_product", "integer_mode", "lgfield",
     "oam_spectrum", "overlap", "plate_state", "plates", "sample_curve", "search_max_s",
-    "spiral_overlap_probability", "step_overlap_probability",
+    "spiral_overlap_probability",
 ]
 
 
@@ -515,8 +515,10 @@ def test_package_surface(tmp_path):
     ("bell --ell 0.5", 0),
     ("bell --ell 0.4", 0),
     ("bell --plate step --phi pi", 0),
+    ("bell --plate step --phi pi/3", 0),
     ("bell --fringe cos2", 0),
     ("fringe --ell 0.5", 0),
+    ("fringe --plate step --phi pi/2", 0),
     ("bell --ell inf", 2),
     ("search --budget 0 --init no_sectors.json", 2),
     ("farfield --ell nan --grid 128", 2),

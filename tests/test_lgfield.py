@@ -15,7 +15,8 @@ from oamsim.angular import TWO_PI, oam_spectrum
 from oamsim.cli import main
 from oamsim.lgfield import (
     _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
-from oamsim.plates import BinarySectors, Spiral, Step, _pieces, plate_state, profile
+from oamsim.plates import (
+    BinarySectors, Spiral, Step, _phase_factors, _pieces, plate_state, profile)
 
 
 def _analytic_radial_overlap(l, p):
@@ -537,17 +538,33 @@ def test_far_field_on_two_threads_equals_one_thread_bit_for_bit(plate, n, monkey
     assert np.array_equal(threaded, far_field(plate, n=n).intensity)
 
 
+def test_far_field_builds_the_plate_pieces_once(monkeypatch):
+    # one table for the whole grid, not one for each block of n/64 rows
+    calls = []
+
+    def counted(plate):
+        calls.append(plate)
+        return _pieces(plate)
+
+    monkeypatch.setattr(lgfield, "_pieces", counted)
+    plate = Step(math.pi / 2, alpha=0.3)
+    image = far_field(plate, n=256)
+    assert calls == [plate]
+    monkeypatch.undo()
+    assert np.array_equal(image.intensity, _fft2_kernel_intensity(plate, 256, 16.0))
+
+
 @pytest.mark.filterwarnings("error")  # an exception left in a thread fails the test
 def test_far_field_raises_the_helper_threads_exception(monkeypatch):
     raised = []
 
-    def profile_on_the_main_thread_only(plate, theta):
+    def factors_on_the_main_thread_only(pieces, theta):
         if threading.current_thread() is not threading.main_thread():
             raised.append(RuntimeError("profile off the main thread"))
             raise raised[-1]
-        return profile(plate, theta)
+        return _phase_factors(pieces, theta)
 
-    monkeypatch.setattr(lgfield, "profile", profile_on_the_main_thread_only)
+    monkeypatch.setattr(lgfield, "_phase_factors", factors_on_the_main_thread_only)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         far_field(Spiral(3.5), n=128)

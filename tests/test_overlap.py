@@ -19,18 +19,18 @@ from oamsim.bell import (
     chsh_s,
 )
 from oamsim.overlap import (
+    UnsupportedAnalyzerError,
     _arcs,
     _displaced,
     binary_mask_probabilities,
     closed_form_probability,
+    closed_form_probability_exact,
     covariogram,
     sample_curve,
     spiral_overlap_probability,
-    step_overlap_amplitude,
-    step_overlap_probability,
 )
-from oamsim.oracle import OracleMismatch
-from oamsim.plates import BinarySectors, Spiral, Step, plate_state
+from oamsim.oracle import OracleMismatch, geometric_profile
+from oamsim.plates import BinarySectors, Spiral, Step, plate_state, profile, sector_intervals
 
 
 def _direct_overlap(plate, alpha):
@@ -64,31 +64,43 @@ def test_spiral_half_integer_parabola():
         assert spiral_overlap_probability(0.5, alpha) == pytest.approx(expected, abs=1e-14)
 
 
+def _step_amplitude(phi, alpha):
+    """1 + (|alpha|/pi)(cos(phi) - 1) with alpha folded into [-pi, pi)."""
+    a = wrap_angle(alpha)
+    if a >= math.pi:
+        a = TWO_PI - a
+    return 1.0 + (a / math.pi) * (math.cos(phi) - 1.0)
+
+
 def test_step_amplitude_symmetric_in_alpha():
     for phi in (math.pi / 3, math.pi / 2, math.pi):
         for alpha in (0.4, 1.5, 3.0):
-            plus = step_overlap_amplitude(phi, alpha)
-            minus = step_overlap_amplitude(phi, -alpha)
+            plus = _step_amplitude(phi, alpha)
+            minus = _step_amplitude(phi, -alpha)
             assert plus == pytest.approx(minus, abs=1e-14)
+            # the folded amplitude is the real overlap the step's law squares
+            assert _direct_overlap(Step(phi), -alpha) == pytest.approx(plus, abs=1e-12)
+            assert closed_form_probability(Step(phi), -alpha) == pytest.approx(
+                plus * plus, abs=1e-15)
 
 
 def test_step_probability_matches_direct():
     for phi in (math.pi / 3, math.pi / 2, math.pi, 2.7):
         for alpha in (0.4, -1.0, math.pi / 2, math.pi, 5.0):
             direct = abs(_direct_overlap(Step(phi), alpha)) ** 2
-            assert step_overlap_probability(phi, alpha) == pytest.approx(direct, abs=1e-12)
+            assert closed_form_probability(Step(phi), alpha) == pytest.approx(direct, abs=1e-12)
 
 
 def test_step_pi_fringe_has_period_pi():
     for alpha in (0.3, 1.0, 2.0):
-        a = step_overlap_probability(math.pi, alpha)
-        b = step_overlap_probability(math.pi, alpha + math.pi)
+        a = closed_form_probability(Step(math.pi), alpha)
+        b = closed_form_probability(Step(math.pi), alpha + math.pi)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_step_phi_zero_is_identity():
     for alpha in (0.5, 2.0, 5.0):
-        assert step_overlap_probability(0.0, alpha) == pytest.approx(1.0, abs=1e-14)
+        assert closed_form_probability(Step(0.0), alpha) == pytest.approx(1.0, abs=1e-14)
 
 
 def displaced_measure(mask, delta):
@@ -345,7 +357,61 @@ def test_step_agrees_with_equivalent_binary_mask():
     alphas = (0.5, 1.5, 3.0)
     fringe = binary_mask_probabilities(phi, *_arcs(mask.sectors), alphas)
     for alpha, p in zip(alphas, fringe):
-        assert p == pytest.approx(step_overlap_probability(phi, alpha), abs=1e-12)
+        assert p == pytest.approx(closed_form_probability(Step(phi), alpha), abs=1e-12)
+
+
+# phases whose 1 - cos(phi) = 2 sin^2(phi/2) is rational, mod 2*pi
+_EXACT_PHASES = (0.0, math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi, 4 * math.pi / 3,
+                 3 * math.pi / 2, 5 * math.pi / 3, -math.pi / 2, 7 * math.pi / 3)
+
+
+def _exact_or_unsupported(plate, t):
+    try:
+        return closed_form_probability_exact(plate, t)
+    except UnsupportedAnalyzerError:
+        return UnsupportedAnalyzerError
+
+
+@settings(max_examples=200, deadline=None)
+@given(phi=st.one_of(st.sampled_from(_EXACT_PHASES), st.floats(min_value=-10.0, max_value=10.0)),
+       alpha=st.floats(min_value=-10.0, max_value=10.0),
+       delta=st.floats(min_value=-10.0, max_value=10.0),
+       t=st.fractions(min_value=-4, max_value=4, max_denominator=64))
+@example(phi=1.0, alpha=0.0, delta=0.0, t=Fraction(1, 2))
+def test_step_is_the_half_plane_mask(phi, alpha, delta, t):
+    step, mask = Step(phi, alpha), BinarySectors(phi, ((0.0, math.pi),), alpha)
+    assert sector_intervals(step) == sector_intervals(mask)
+    thetas = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
+    assert np.array_equal(profile(step, thetas), profile(mask, thetas))
+    assert np.array_equal(geometric_profile(step, thetas), geometric_profile(mask, thetas))
+    assert abs(closed_form_probability(step, delta) - closed_form_probability(mask, delta)) <= 1e-15
+    exact = _exact_or_unsupported(step, t)
+    assert exact == _exact_or_unsupported(mask, t)
+    if any(abs(phi - p) <= 1e-12 for p in _EXACT_PHASES):
+        assert isinstance(exact, Fraction)
+
+
+@pytest.mark.parametrize("plate", [
+    Step(math.pi / 3), Step(2 * math.pi / 3), Step(2 * math.pi / 3, alpha=0.7),
+    Step(-math.pi / 2), Step(5 * math.pi / 3),
+    BinarySectors(2 * math.pi / 3, ((0.0, math.pi / 4), (math.pi / 2, 3 * math.pi / 4)), 0.7),
+    BinarySectors(math.pi / 3, ((math.pi / 6, math.pi), (4 * math.pi / 3, 7 * math.pi / 4))),
+], ids=repr)
+def test_one_exact_law_covers_every_sector_plate(plate):
+    for k in range(-8, 40):
+        t = Fraction(k, 16)
+        exact = closed_form_probability_exact(plate, t)
+        assert isinstance(exact, Fraction)
+        assert float(exact) == pytest.approx(closed_form_probability(plate, float(t) * math.pi),
+                                             abs=1e-15)
+
+
+def test_exact_law_rejects_phases_and_edges_irrational_in_pi():
+    for plate in (Step(1.0), BinarySectors(1.0, ((0.0, math.pi),)),
+                  BinarySectors(math.pi, ((0.0, 1.0),)),
+                  BinarySectors(math.pi, ((math.pi / 2, math.pi + 1e-9),))):
+        with pytest.raises(UnsupportedAnalyzerError):
+            closed_form_probability_exact(plate, Fraction(1, 2))
 
 
 def test_closed_form_probability_dispatch():

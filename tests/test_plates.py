@@ -1,6 +1,7 @@
 """Tests for the plate families: unitarity, geometry, serialization."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -187,6 +188,18 @@ def test_non_finite_parameters_rejected(bad):
     ):
         with pytest.raises(ValueError):
             make()
+
+
+def test_step_keeps_its_fields_and_gains_the_half_plane_sector():
+    step = Step(math.pi / 2, alpha=0.3)
+    assert [f.name for f in dataclasses.fields(Step)] == ["phi", "alpha"]
+    assert repr(step) == "Step(phi=1.5707963267948966, alpha=0.3)"
+    assert dataclasses.replace(step, alpha=-0.3) == Step(math.pi / 2, TWO_PI - 0.3)
+    assert to_dict(step) == {"type": "step", "phi": math.pi / 2, "alpha": 0.3}
+    assert step.sectors == ((0.0, math.pi),) == BinarySectors(1.0, ((0.0, math.pi),)).sectors
+    assert not isinstance(step, BinarySectors)
+    with pytest.raises(TypeError):
+        sector_intervals(Spiral(0.5))
 
 
 def test_json_roundtrip():
