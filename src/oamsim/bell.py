@@ -8,12 +8,12 @@ parabolic fringes, where S = 16/5 holds exactly and tolerances would only
 mask sign errors. Its arithmetic is elementwise, so the mask search feeds
 it numpy arrays and scores a whole batch of masks in one pass.
 
-The search's random starts descend in lockstep: each step scores the trials
-every unfinished start has left in one batch, which the covariogram takes
-in blocks of bounded size. The starts' improvements are then replayed in
-start order at the evaluation counts a one-start-at-a-time loop would have
-reached, so the trace, the tie-breaks and the cut-off of the exploration
-half are that loop's; a start the loop would never reach is discarded.
+The search's random starts descend in lockstep: each step scores in one
+batch the trials every unfinished start has left, and in a short round its
+later sweeps; a start at S = 4.0, which no float S exceeds, stops scoring.
+The improvements are replayed in start order at the evaluation counts of a
+one-start-at-a-time loop, so the trace, the tie-breaks and the cut-off of
+the exploration half are that loop's; a start it would never reach is lost.
 """
 
 from __future__ import annotations
@@ -31,8 +31,12 @@ _PAIR_KEYS = ("a1a2", "a1pa2", "a1a2p", "a1pa2p")
 _PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
 # a float four-probability sum at or below this counts as vanishing
 _FLOAT_FLOOR = 1e-15
-# random starts of the mask search's exploration half
+# random starts of the mask search's exploration half; trials of a full round
 _N_STARTS = 64
+# No float S exceeds 4.0: rounding is monotone, so each E's numerator,
+# ((p0 + p1) - p2) - p3, is at most its denominator ((p0 + p1) + p2) + p3 in
+# magnitude for rates p >= 0, |E| <= 1 and ((e0 - e1) + e2) + e3 <= 4.
+_S_CEILING = 4.0
 
 
 class DegenerateFringeError(ZeroDivisionError):
@@ -233,45 +237,58 @@ def _mask_scorer(phi, settings):
     return score
 
 
-def _descend(score, x, s, max_evals, step):
+def _descend(score, x, s, max_evals, step, ceiling):
     """Coordinate descent of every row of x, (B, n) boundary vectors scoring
     s, in lockstep: each round scores, in one batch, the (coordinate, +/-)
-    trials that each active row's sweep has left. Per row, only the trials
-    up to its first improvement count, as one trial at a time would have
-    made them; the row's sweep then goes on from the next coordinate of the
-    moved point. A row stops after max_evals trials or once its step falls
-    to 1e-12. Returns each row's trial count and its improvements as
-    (trials so far, S, x) lists; the trials of a row form a prefix of those
-    any larger max_evals would give."""
+    trials each active row's sweep has left and, in a round of fewer than
+    _N_STARTS, whole later sweeps at the steps failing sweeps halve to. Per
+    row, only the trials up to its first improvement count, as one trial at
+    a time would have made them, and the sweep goes on from the next
+    coordinate. A row stops after max_evals trials, once its step falls to
+    1e-12, or at ``ceiling``, which no score exceeds, charged its trials left.
+    Returns each row's trial count and improvements as (trials so far, S, x)
+    lists; a row's trials are a prefix of any larger max_evals' trials."""
     import numpy as np
 
     n_rows, n = x.shape
-    x, s, step = x.copy(), np.array(s, dtype=float), np.full(n_rows, step)
-    first, used = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int)
-    improved = np.zeros(n_rows, dtype=bool)
+    x, s = x.copy(), np.array(s, dtype=float)
+    floor = 0  # the step after h halvings is step / 2**h, above 1e-12 for h < floor
+    while math.ldexp(step, -floor) > 1e-12:
+        floor += 1
+    h, first = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int)
+    used, improved = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=bool)
     events = [[] for _ in range(n_rows)]
-    while (active := np.flatnonzero((used < max_evals) & (step > 1e-12))).size:
-        counts = np.minimum(2 * (n - first[active]), max_evals - used[active])
+    while True:
+        later = floor - h - 1 + improved  # whole sweeps after the current one
+        top = np.flatnonzero((s >= ceiling) & (h < floor))
+        used[top] = np.minimum(max_evals, used[top] + 2 * (n - first[top]) + 2 * n * later[top])
+        h[top] = floor
+        if not (active := np.flatnonzero((used < max_evals) & (h < floor))).size:
+            return used, events
+        rest, left = 2 * (n - first[active]), max_evals - used[active]
+        sweeps = -(-max(0, _N_STARTS - np.minimum(rest, left).sum()) // (2 * n * active.size))
+        counts = np.minimum(rest + 2 * n * np.minimum(sweeps, later[active]), left)
         begins = np.cumsum(counts) - counts
         row = np.repeat(active, counts)
         offset = np.arange(row.size) - np.repeat(begins, counts)
-        slot = 2 * first[row] + offset  # 2 * coordinate + (0 for +, 1 for -)
+        sweep, slot = np.divmod(2 * first[row] + offset, 2 * n)  # slot: 2 * coordinate + sign
+        halvings = h[row] + sweep - (improved[row] & (sweep > 0))
         trials = x[row]
-        trials[np.arange(row.size), slot // 2] += (1 - 2 * (slot % 2)) * step[row]
+        trials[np.arange(row.size), slot // 2] += (1 - 2 * (slot % 2)) * np.ldexp(step, -halvings)
         s_new = score(trials)
-        hit = np.minimum.reduceat(np.where(s_new > s[row], offset, 2 * n), begins)
+        hit = np.minimum.reduceat(np.where(s_new > s[row], offset, row.size), begins)
         found = hit < counts
         last = begins + np.where(found, hit, counts - 1)
         used[active] += last - begins + 1
-        first[active] = slot[last] // 2 + 1
+        h[active], first[active] = halvings[last], slot[last] // 2 + 1
+        improved[active] = found | (improved[active] & (sweep[last] == 0))
         moved, rows_moved = active[found], last[found]
-        x[moved], s[moved], improved[moved] = trials[rows_moved], s_new[rows_moved], True
+        x[moved], s[moved] = trials[rows_moved], s_new[rows_moved]
         for i, j in zip(moved.tolist(), rows_moved.tolist()):
             events[i].append((int(used[i]), float(s_new[j]), trials[j].copy()))
         swept = active[first[active] == n]
-        step[swept[~improved[swept]]] *= 0.5
+        h[swept[~improved[swept]]] += 1
         first[swept], improved[swept] = 0, False
-    return used, events
 
 
 def search_max_s(sector_count: int, phi: float,
@@ -292,6 +309,8 @@ def search_max_s(sector_count: int, phi: float,
         raise ValueError("sector_count must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if init_mask is not None and init_mask.phi != phi:
         raise ValueError(f"the initial mask has phi {init_mask.phi!r}, the search phi {phi!r}")
 
@@ -347,7 +366,7 @@ def search_max_s(sector_count: int, phi: float,
         x = np.array([np.sort(np.random.default_rng(seed * 7919 + start).uniform(
             0.0, TWO_PI, size=2 * sector_count)) for start in range(n_starts)])
         s = score(x)
-        used, events = _descend(score, x, s, per_start, math.pi / 4)
+        used, events = _descend(score, x, s, per_start, math.pi / 4, _S_CEILING)
         # replay the starts one after another, as a sequential loop would
         # have run them: its evaluation counts, trace and cut-off at explore
         for start in range(n_starts):
@@ -360,6 +379,7 @@ def search_max_s(sector_count: int, phi: float,
     if best_mask is None:
         raise DegenerateFringeError("search found no non-degenerate mask")
     if evals < budget:
-        used, events = _descend(score, best_x[None, :], [best_s], budget - evals, math.pi / 8)
+        used, events = _descend(score, best_x[None, :], [best_s], budget - evals, math.pi / 8,
+                                _S_CEILING)
         replay(int(used[0]), events[0], budget - evals)
     return MaskSearchResult(best_mask, best_s, tuple(trace), settings)

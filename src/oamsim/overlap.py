@@ -32,12 +32,12 @@ from .plates import BinarySectors, PhasePlate, Spiral, Step
 # peak a call holds t (8 bytes an element) and the two numpy iterator
 # buffers, of up to np.getbufsize() = 2**13 float64s each, that broadcasting
 # its operands takes; or t, L(t) and one such buffer. The wrap's two boolean
-# masks (1 byte an element each) live beside t alone. At 2**13 elements that
-# is about 25 bytes an element, 200 KiB. On a 2-vCPU Xeon, six
-# 20000-evaluation searches (k = 2-4) took 0.20 s best and 0.29 s median of 7
-# with blocks of 2**13 elements, and 0.25 s and 0.32 s with 2**12, at
-# 37.5 MB of peak RSS either way.
-_COVARIOGRAM_ELEMENTS = 2 ** 13
+# masks (1 byte an element each) live beside t alone. A call at the cap
+# (k = 4, D = 10) peaks at 20.5 bytes an element, 330 KiB. On a 2-vCPU Xeon
+# it took 10.9, 7.7, 5.8 and 8.2 ns an element at caps of 2**12, 2**13,
+# 2**14 and 2**15 elements (the last outgrows the cache), and six
+# 20000-evaluation searches (k = 2-4) 0.129, 0.107, 0.099 and 0.099 s.
+_COVARIOGRAM_ELEMENTS = 2 ** 14
 
 
 def spiral_overlap_probability(lam: float, alpha: float) -> float:

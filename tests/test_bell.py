@@ -4,8 +4,10 @@ import inspect
 import math
 from fractions import Fraction
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from oamsim import bell, overlap
 from oamsim.angular import TWO_PI
@@ -197,6 +199,8 @@ def test_search_validation():
         search_max_s(3, math.pi, budget=-1)
     with pytest.raises(ValueError):
         search_max_s(3, math.pi, budget=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        search_max_s(3, math.pi, seed=-1)
 
 
 def test_search_budget_zero_evaluates_initial_mask():
@@ -217,10 +221,34 @@ def test_search_rejects_an_initial_mask_of_another_phi():
     assert search_max_s(1, math.pi / 2, budget=0, init_mask=quarter).s == s_quarter
 
 
+def _descend_one_trial_at_a_time(objective, x, s_cur, max_evals, step, on_improvement):
+    """One row's coordinate descent with every trial scored alone, in the
+    order a sweep visits them: the loop _descend must reproduce. Hands each
+    improvement to on_improvement(S, x) and returns the trials made."""
+    used = 0
+    while used < max_evals and step > 1e-12:
+        improved = False
+        for i in range(len(x)):
+            for sign in (1.0, -1.0):
+                if used >= max_evals:
+                    return used
+                trial = x.copy()
+                trial[i] += sign * step
+                s_new = objective(trial)
+                used += 1
+                if s_new > s_cur:
+                    x, s_cur, improved = trial, s_new, True
+                    on_improvement(s_new, trial)
+                    break
+        if not improved:
+            step *= 0.5
+    return used
+
+
 def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_mask=None):
     """search_max_s with the random starts run one after another and every
-    trial scored alone, in the order a sweep visits them: the reference the
-    lockstep descent and its replay must reproduce."""
+    trial scored alone: the reference the lockstep descent and its replay
+    must reproduce."""
     score = bell._mask_scorer(phi, settings)
     evals, trace, best = 0, [], {"s": -math.inf, "key": None, "x": None}
 
@@ -236,25 +264,6 @@ def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_
             best.update(s=s, key=key, x=x.copy())
             trace.append((evals, s))
 
-    def descend(x, s_cur, max_evals, step):
-        used = 0
-        while used < max_evals and step > 1e-12:
-            improved = False
-            for i in range(len(x)):
-                for sign in (1.0, -1.0):
-                    if used >= max_evals:
-                        return
-                    trial = x.copy()
-                    trial[i] += sign * step
-                    s_new = objective(trial)
-                    used += 1
-                    if s_new > s_cur:
-                        x, s_cur, improved = trial, s_new, True
-                        consider(s_new, trial)
-                        break
-            if not improved:
-                step *= 0.5
-
     if init_mask is not None:
         x = np.array([v for ab in init_mask.sectors for v in ab])
         consider(objective(x), x)
@@ -266,9 +275,11 @@ def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_
         x = np.sort(rng.uniform(0.0, TWO_PI, size=2 * sector_count))
         s = objective(x)
         consider(s, x)
-        descend(x, s, min(max(explore // bell._N_STARTS, 1), budget - evals), math.pi / 4)
+        per_start = min(max(explore // bell._N_STARTS, 1), budget - evals)
+        _descend_one_trial_at_a_time(objective, x, s, per_start, math.pi / 4, consider)
     if evals < budget:
-        descend(best["x"].copy(), best["s"], budget - evals, math.pi / 8)
+        _descend_one_trial_at_a_time(objective, best["x"].copy(), best["s"], budget - evals,
+                                     math.pi / 8, consider)
     return BinarySectors(phi, best["key"]), best["s"], tuple(trace)
 
 
@@ -299,8 +310,18 @@ def test_batched_descent_makes_the_decisions_of_one_trial_at_a_time(sector_count
     (3, math.pi / 2, SPIRAL_SETTINGS, 1203, 9, None),
     (2, math.pi / 2, POLARIZATION_SETTINGS, 301, 10, None),
     (2, math.pi, SPIRAL_SETTINGS, 20000, 11, None),
+    # one sector at phi = 2 stays far below the ceiling, at S = 2.37
+    (1, 2.0, POLARIZATION_SETTINGS, 2000, 12, None),
+    # the largest search the CLI admits
+    (16, math.pi, SPIRAL_SETTINGS, 2000, 13, None),
+    # the polish's last round looks three sweeps ahead, and its budget runs
+    # out in the third
+    (2, math.pi, POLARIZATION_SETTINGS, 374, 15, None),
+    # the polish starts at S = 4 and is charged its trials unscored
+    (1, math.pi, SPIRAL_SETTINGS, 301, 14, ((0.0, math.pi / 2),)),
 ], ids=["cut-off-before-last-start", "init-then-search", "init-then-polish",
-        "half-pi-spiral", "half-pi-polarization", "full-budget"])
+        "half-pi-spiral", "half-pi-polarization", "full-budget", "phi-2-below-ceiling",
+        "sixteen-sectors", "budget-ends-in-lookahead", "init-at-ceiling"])
 def test_lockstep_starts_replay_the_sequential_search(sector_count, phi, settings, budget,
                                                       seed, init):
     init_mask = None if init is None else BinarySectors(phi, init)
@@ -311,6 +332,87 @@ def test_budget_one_evaluates_the_first_start():
     result = search_max_s(3, math.pi, budget=1, seed=0)
     assert math.isfinite(result.s)
     assert result.trace == ((1, result.s),)
+
+
+# sector ends on the pi/4 lattice, where the fringe zeros that give S = 4
+# meet the settings, outside [0, 2*pi] as a descent's trials reach, or anywhere
+_BOUNDARY = st.one_of(st.integers(-2, 10).map(lambda k: k * math.pi / 4),
+                      st.floats(-1.0, TWO_PI + 1.0))
+
+
+@st.composite
+def _mask_batches(draw):
+    """(rows, 2k) boundary vectors of 1-16 sectors, some boundaries copied
+    onto the next so that sectors touch or have zero width."""
+    k, rows = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    b = np.sort(np.array(draw(st.lists(_BOUNDARY, min_size=rows * 2 * k,
+                                       max_size=rows * 2 * k))).reshape(rows, 2 * k), axis=-1)
+    for j in draw(st.lists(st.integers(1, 2 * k - 1), max_size=2 * k)):
+        b[:, j] = b[:, j - 1]
+    return b
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(batch=_mask_batches(), phi=st.sampled_from([math.pi, math.pi / 2, 2.0]),
+                  analyzers=st.sampled_from([SPIRAL_SETTINGS, POLARIZATION_SETTINGS]))
+@hypothesis.example(batch=np.array([[0.0, math.pi / 2]]), phi=math.pi, analyzers=SPIRAL_SETTINGS)
+def test_no_mask_scores_above_the_ceiling(batch, phi, analyzers):
+    # the premise that lets the search stop scoring a mask at S = 4.0
+    assert (bell._mask_scorer(phi, analyzers)(batch) <= bell._S_CEILING).all()
+
+
+def _descent_reference(score, x, s, max_evals, step):
+    """_descend's (used, events) for each row, from the one-trial loop."""
+    out = []
+    for row, s_row in zip(x, s):
+        used, events = 0, []
+
+        def objective(trial):
+            nonlocal used
+            used += 1
+            return float(score(trial[None, :])[0])
+
+        _descend_one_trial_at_a_time(objective, row, s_row, max_evals, step,
+                                     lambda s_new, trial: events.append((used, s_new, trial)))
+        out.append((used, events))
+    return out
+
+
+def _same_descent(got, reference):
+    used, events = got
+    assert used.tolist() == [u for u, _ in reference]
+    for row, (_, ref_events) in zip(events, reference):
+        assert [(u, s) for u, s, _ in row] == [(u, s) for u, s, _ in ref_events]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(row, ref_events))
+
+
+def test_a_row_at_the_ceiling_is_charged_without_a_score_call():
+    score = bell._mask_scorer(math.pi, SPIRAL_SETTINGS)
+    quarter = np.array([[0.0, math.pi / 2]])
+    s = score(quarter)
+    assert s.tolist() == [4.0]
+
+    def no_call(trials):
+        raise AssertionError("a row at the ceiling was scored")
+
+    # budgets that end inside the first sweep, a later one, and none
+    for max_evals in (1, 3, 50, 10000):
+        got = bell._descend(no_call, quarter, s, max_evals, math.pi / 8, bell._S_CEILING)
+        _same_descent(got, _descent_reference(score, quarter, s, max_evals, math.pi / 8))
+        # 39 sweeps of 4 trials, at steps pi/8 to pi/8 / 2**38 > 1e-12
+        assert got[0].tolist() == [min(max_evals, 4 * 39)]
+
+
+@pytest.mark.parametrize("max_evals", [2, 37, 150, 1000])
+@pytest.mark.parametrize("step", [math.pi / 8, 1e-9])
+def test_rows_at_and_below_the_ceiling_descend_as_one_trial_at_a_time(max_evals, step):
+    # a row that starts at the ceiling, rows that may reach it, and one that
+    # cannot, in one batch: charged once, looking ahead as the round empties
+    score = bell._mask_scorer(math.pi, SPIRAL_SETTINGS)
+    x = np.array([[0.0, math.pi / 2], [0.1, 1.4], [2.0, 3.0], [1.0, 4.5]])
+    s = score(x)
+    got = bell._descend(score, x, s, max_evals, step, bell._S_CEILING)
+    _same_descent(got, _descent_reference(score, x, s, max_evals, step))
 
 
 def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
@@ -328,6 +430,30 @@ def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
     mask = BinarySectors(math.pi, tuple((0.3 * i, 0.3 * i + 0.2) for i in range(16)))
     sample_curve(mask, 100000)
     assert sizes and max(sizes) <= overlap._COVARIOGRAM_ELEMENTS
+
+
+def test_bench_shaped_searches_score_in_few_full_rounds(monkeypatch):
+    # a work ratchet on the six searches of a benchmark bell round: score
+    # calls and scored rows may not grow back (rounds that neither look
+    # ahead nor stop at the ceiling made 492 calls and 87175 rows here)
+    calls, rows = 0, 0
+    scorer = bell._mask_scorer
+
+    def counting_scorer(phi, settings):
+        score = scorer(phi, settings)
+
+        def counted(trials):
+            nonlocal calls, rows
+            calls, rows = calls + 1, rows + len(trials)
+            return score(trials)
+
+        return counted
+
+    monkeypatch.setattr(bell, "_mask_scorer", counting_scorer)
+    for sector_count in (2, 3, 4):
+        for settings in (SPIRAL_SETTINGS, POLARIZATION_SETTINGS):
+            search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
+    assert calls <= 229 and rows <= 79529
 
 
 def test_search_is_deterministic():

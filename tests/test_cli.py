@@ -238,6 +238,13 @@ def test_search_reads_its_seed(tmp_path, capsys):
     assert out.read_bytes() != default.read_bytes()
 
 
+def test_search_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "mask.json"
+    assert main(["search", "--seed", "-1", "--budget", "40", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--seed", "5", "search", "--budget", "500"],  # only the search subcommand has a seed
     ["fringe", "--ell", "0.5", "--pump-q", "1"],  # the pump OAM drops out of every rate

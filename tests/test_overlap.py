@@ -322,7 +322,7 @@ def test_covariogram_wraps_any_delta():
 def test_covariogram_peak_memory_at_the_element_cap():
     # a call at the cap (k = 4, D = 10) holds t and L(t) at once (16 B an
     # element), or t alone while it is built, with numpy's iterator buffers
-    # of up to 2**13 float64s for each broadcast operand (8 B an element at
+    # of up to 2**13 float64s for each broadcast operand (4 B an element at
     # this size, twice while t is built). The bound adds 2 B an element for
     # the (k, k, rows) differences, the transposed arcs and the sum; a third
     # live array of the grid adds 8.
@@ -340,7 +340,7 @@ def test_covariogram_peak_memory_at_the_element_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 26 * n, f"peak {peak / n:.2f} B an element"
+    assert peak <= 22 * n, f"peak {peak / n:.2f} B an element"
 
 
 def test_binary_mask_overlap_matches_direct():
