@@ -397,7 +397,7 @@ def test_a_row_at_the_ceiling_is_charged_without_a_score_call():
 
     # budgets that end inside the first sweep, a later one, and none
     for max_evals in (1, 3, 50, 10000):
-        got = bell._descend(no_call, quarter, s, max_evals, math.pi / 8, bell._S_CEILING)
+        got = bell._descend(no_call, quarter, s, max_evals, math.pi / 8)
         _same_descent(got, _descent_reference(score, quarter, s, max_evals, math.pi / 8))
         # 39 sweeps of 4 trials, at steps pi/8 to pi/8 / 2**38 > 1e-12
         assert got[0].tolist() == [min(max_evals, 4 * 39)]
@@ -411,7 +411,7 @@ def test_rows_at_and_below_the_ceiling_descend_as_one_trial_at_a_time(max_evals,
     score = bell._mask_scorer(math.pi, SPIRAL_SETTINGS)
     x = np.array([[0.0, math.pi / 2], [0.1, 1.4], [2.0, 3.0], [1.0, 4.5]])
     s = score(x)
-    got = bell._descend(score, x, s, max_evals, step, bell._S_CEILING)
+    got = bell._descend(score, x, s, max_evals, step)
     _same_descent(got, _descent_reference(score, x, s, max_evals, step))
 
 
