@@ -2,7 +2,9 @@
 
 ``ClosedForm`` describes a state as e^{i*nu*theta}/sqrt(2*pi) times
 piecewise-constant unimodular factors, which is exactly the family of states
-produced by azimuthal phase plates acting on integer-OAM eigenstates; inner
+produced by azimuthal phase plates acting on integer-OAM eigenstates. It
+holds the piece table that ``plates.plate_state`` builds and evaluates it at
+one angle (``factor_at``) or at arrays of angles (``profile``); inner
 products between such states are evaluated analytically, piece by piece.
 ``AngularGrid`` is the uniform grid on which the oracle module samples each
 plate from its own definition to re-derive these results by quadrature.
@@ -79,6 +81,28 @@ class ClosedForm:
 
     def factor_at(self, theta: float) -> complex:
         return self.factors[bisect_right(self.boundaries, wrap_angle(theta)) - 1]
+
+    def profile(self, theta):
+        """sqrt(2*pi) * psi at angle(s) theta: for a plate's state from |0>,
+        the plate's unimodular phase factor."""
+        import numpy as np
+
+        nu, boundaries, factors = self.nu, self.boundaries, self.factors
+        t = np.asarray(theta, dtype=float)
+        # np.mod leaves angles in [0, 2*pi) as they are; NaN fails both tests
+        if not (np.min(t, initial=0.0) >= 0.0 and np.max(t, initial=0.0) < TWO_PI):
+            t = np.mod(t, TWO_PI)
+        if nu == 0.0 or factors != (1.0,):
+            fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
+        if nu != 0.0:
+            # cos + i*sin in one complex array, the phase staged in its real part,
+            # times the factors unless the state is one unit piece; [()] keeps scalars
+            phasor = np.empty(np.shape(t), complex)
+            np.multiply(t, nu, out=phasor.real)
+            np.sin(phasor.real, out=phasor.imag)
+            np.cos(phasor.real, out=phasor.real)
+            fac = phasor[()] if factors == (1.0,) else np.multiply(fac, phasor, out=phasor)[()]
+        return fac
 
 
 def integer_mode(l: int) -> ClosedForm:

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .angular import TWO_PI, oam_spectrum
-from .plates import Spiral, _phase_factors, _pieces, plate_state
+from .plates import Spiral, plate_state, to_dict
 
 
 # overflow, NaN or log 0 in the radial kernel is a bug, never a result;
@@ -206,8 +206,6 @@ class FarFieldImage:
             fh.write(data)
 
     def write_sidecar(self, path):
-        from .plates import to_dict
-
         with open(path, "w") as fh:
             json.dump({"grid": self.n, "extent": self.extent,
                        "plate": to_dict(self.plate)}, fh, indent=2)
@@ -347,7 +345,7 @@ def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
     gauss = np.exp(-(coords**2))
     # |profile| = 1, so |field|^2 sums to 1, and so does its unitary transform
     amplitude = gauss / math.sqrt(math.fsum(gauss**2)) * (-1.0) ** np.arange(n)
-    pieces = _pieces(plate)
+    state = plate_state(plate, 0)
     theta = np.empty((n, n))
     field = np.empty((n, n), complex)
     block = n // 64  # n/2 is a whole number of blocks, each from an even row
@@ -357,7 +355,7 @@ def far_field(plate, n: int = 1024, extent: float = 16.0) -> FarFieldImage:
         np.arctan2(coords[a:b, None], coords[None, :], out=theta[a:b])
         for s in range(a, b, block):
             t = theta[s:s + block]
-            phasor = _phase_factors(pieces, np.add(t, TWO_PI, out=t, where=t < 0.0))
+            phasor = state.profile(np.add(t, TWO_PI, out=t, where=t < 0.0))
             out = field[s:s + block]
             np.multiply(phasor, amplitude[s:s + block, None], out=out)
             del phasor  # freed before the next block's is built

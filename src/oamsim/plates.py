@@ -4,8 +4,8 @@ Three plate families are modeled: spiral plates with an arbitrary (possibly
 fractional) step index and an oriented edge dislocation, binary masks
 delaying a union of angular ``sectors`` by a fixed phase, and straight-edge
 step plates, the mask whose one sector is the half-plane [0, pi). Every
-plate acts by pointwise multiplication with a unimodular phase profile, so
-unitarity is structural.
+plate multiplies by a unimodular phase profile, so unitarity is structural;
+``plate_state`` builds its one piece table, an ``angular.ClosedForm``.
 """
 
 from __future__ import annotations
@@ -116,16 +116,17 @@ def sector_intervals(plate) -> list:
     return merged
 
 
-def _pieces(plate):
-    """(nu_shift, boundaries, factors) of the plate's phase profile."""
+def plate_state(plate, l: int) -> ClosedForm:
+    """The basis state the plate produces from the OAM eigenstate |l>: the
+    plate's piece table, its nu raised by l."""
     if isinstance(plate, Spiral):
         a, ell = plate.alpha, plate.ell
         if a == 0.0:
-            return ell, (0.0,), (1.0 + 0.0j,)
-        return ell, (0.0, a), (
+            return ClosedForm(l + ell)
+        return ClosedForm(l + ell, (0.0, a), (
             cmath.exp(1j * (TWO_PI - a) * ell),
             cmath.exp(-1j * a * ell),
-        )
+        ))
     delay = cmath.exp(1j * plate.phi)
     boundaries, factors = [0.0], [1.0 + 0.0j]
     for a, b in sector_intervals(plate):
@@ -137,40 +138,7 @@ def _pieces(plate):
         if b < TWO_PI:
             boundaries.append(b)
             factors.append(1.0 + 0.0j)
-    return 0.0, tuple(boundaries), tuple(factors)
-
-
-def profile(plate, theta):
-    """The plate's unimodular phase factor at angle(s) theta."""
-    return _phase_factors(_pieces(plate), theta)
-
-
-def _phase_factors(pieces, theta):
-    """The phase factor at angle(s) theta of a plate's _pieces."""
-    import numpy as np
-
-    shift, boundaries, factors = pieces
-    t = np.asarray(theta, dtype=float)
-    # np.mod leaves angles in [0, 2*pi) as they are; NaN fails both tests
-    if not (np.min(t, initial=0.0) >= 0.0 and np.max(t, initial=0.0) < TWO_PI):
-        t = np.mod(t, TWO_PI)
-    if shift == 0.0 or factors != (1.0,):
-        fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
-    if shift != 0.0:
-        # cos + i*sin in one complex array, the phase staged in its real part,
-        # times the factors unless the plate is one unit piece; [()] keeps scalars
-        phasor = np.empty(np.shape(t), complex)
-        np.multiply(t, shift, out=phasor.real)
-        np.sin(phasor.real, out=phasor.imag)
-        np.cos(phasor.real, out=phasor.real)
-        fac = phasor[()] if factors == (1.0,) else np.multiply(fac, phasor, out=phasor)[()]
-    return fac
-
-
-def plate_state(plate, l: int) -> ClosedForm:
-    """The basis state the plate produces from the OAM eigenstate |l>."""
-    shift, boundaries, factors = _pieces(plate)
-    return ClosedForm(l + shift, boundaries, factors)
+    return ClosedForm(float(l), tuple(boundaries), tuple(factors))
 
 
 def to_dict(plate) -> dict:

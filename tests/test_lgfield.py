@@ -11,12 +11,11 @@ from scipy.ndimage import map_coordinates
 from scipy.special import roots_genlaguerre
 
 from oamsim import lgfield, oracle
-from oamsim.angular import TWO_PI, oam_spectrum
+from oamsim.angular import TWO_PI, ClosedForm, oam_spectrum
 from oamsim.cli import main
 from oamsim.lgfield import (
     _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
-from oamsim.plates import (
-    BinarySectors, Spiral, Step, _phase_factors, _pieces, plate_state, profile)
+from oamsim.plates import BinarySectors, Spiral, Step, plate_state
 
 
 def _analytic_radial_overlap(l, p):
@@ -348,7 +347,7 @@ def _centred_transform_image(plate, n, extent=16.0):
     renormalized by its sampled power, through the centred unitary FFT."""
     coords = (np.arange(n) - n / 2.0 + 0.5) * (2.0 * extent / n)
     xx, yy = np.meshgrid(coords, coords)
-    field = np.exp(-(xx**2 + yy**2)) * profile(plate, np.arctan2(yy, xx))
+    field = np.exp(-(xx**2 + yy**2)) * plate_state(plate, 0).profile(np.arctan2(yy, xx))
     cell = (2.0 * extent / n) ** 2
     field /= math.sqrt(float(np.sum(np.abs(field) ** 2)) * cell)
     spectrum = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(field), norm="ortho"))
@@ -373,7 +372,8 @@ def test_far_field_is_the_centred_transform(plate):
 def _mod_and_searchsorted_profile(plate, theta):
     """The reference profile: np.mod over every angle, then the factor
     gather for every plate."""
-    shift, boundaries, factors = _pieces(plate)
+    state = plate_state(plate, 0)
+    shift, boundaries, factors = state.nu, state.boundaries, state.factors
     t = np.mod(np.asarray(theta, dtype=float), TWO_PI)
     fac = np.asarray(factors)[np.searchsorted(np.asarray(boundaries), t, side="right") - 1]
     if shift != 0.0:
@@ -466,7 +466,8 @@ def test_profile_equals_the_mod_and_searchsorted_kernel_bit_for_bit():
     for plate in (*_FAR_FIELD_PLATES, Spiral(-1.7), Spiral(3.5, alpha=2.0)):
         for thetas in (inside, outside, inside.reshape(40, 100), [-1e-300, 1.0], [1.0, TWO_PI],
                        1.2, 7.0):
-            got, expected = profile(plate, thetas), _mod_and_searchsorted_profile(plate, thetas)
+            got = plate_state(plate, 0).profile(thetas)
+            expected = _mod_and_searchsorted_profile(plate, thetas)
             assert np.shape(got) == np.shape(expected)
             assert np.array_equal(got, expected), plate
 
@@ -542,11 +543,11 @@ def test_far_field_builds_the_plate_pieces_once(monkeypatch):
     # one table for the whole grid, not one for each block of n/64 rows
     calls = []
 
-    def counted(plate):
+    def counted(plate, l):
         calls.append(plate)
-        return _pieces(plate)
+        return plate_state(plate, l)
 
-    monkeypatch.setattr(lgfield, "_pieces", counted)
+    monkeypatch.setattr(lgfield, "plate_state", counted)
     plate = Step(math.pi / 2, alpha=0.3)
     image = far_field(plate, n=256)
     assert calls == [plate]
@@ -558,13 +559,15 @@ def test_far_field_builds_the_plate_pieces_once(monkeypatch):
 def test_far_field_raises_the_helper_threads_exception(monkeypatch):
     raised = []
 
-    def factors_on_the_main_thread_only(pieces, theta):
+    profile = ClosedForm.profile
+
+    def factors_on_the_main_thread_only(state, theta):
         if threading.current_thread() is not threading.main_thread():
             raised.append(RuntimeError("profile off the main thread"))
             raise raised[-1]
-        return _phase_factors(pieces, theta)
+        return profile(state, theta)
 
-    monkeypatch.setattr(lgfield, "_phase_factors", factors_on_the_main_thread_only)
+    monkeypatch.setattr(ClosedForm, "profile", factors_on_the_main_thread_only)
     threads = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         far_field(Spiral(3.5), n=128)

@@ -4,6 +4,7 @@ import ast
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +283,19 @@ def test_lgfield_does_not_import_oracle():
     # the closed forms must not lean on the oracle that checks them
     names = _imports(lgfield)
     assert not any("oracle" in name for name in names), names
+
+
+def test_no_program_module_imports_a_private_name_of_another():
+    # a name with a leading underscore belongs to its module alone: what
+    # another module needs goes through a public name
+    leaks = []
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("oamsim")):
+                leaks += [(path.name, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not leaks
 
 
 def test_oracle_does_not_import_the_closed_form_machinery():

@@ -30,7 +30,7 @@ from oamsim.overlap import (
     spiral_overlap_probability,
 )
 from oamsim.oracle import OracleMismatch, geometric_profile
-from oamsim.plates import BinarySectors, Spiral, Step, plate_state, profile, sector_intervals
+from oamsim.plates import BinarySectors, Spiral, Step, plate_state, sector_intervals
 
 
 def _direct_overlap(plate, alpha):
@@ -382,7 +382,8 @@ def test_step_is_the_half_plane_mask(phi, alpha, delta, t):
     step, mask = Step(phi, alpha), BinarySectors(phi, ((0.0, math.pi),), alpha)
     assert sector_intervals(step) == sector_intervals(mask)
     thetas = np.linspace(0.0, TWO_PI, 1000, endpoint=False)
-    assert np.array_equal(profile(step, thetas), profile(mask, thetas))
+    assert np.array_equal(plate_state(step, 0).profile(thetas),
+                          plate_state(mask, 0).profile(thetas))
     assert np.array_equal(geometric_profile(step, thetas), geometric_profile(mask, thetas))
     assert abs(closed_form_probability(step, delta) - closed_form_probability(mask, delta)) <= 1e-15
     exact = _exact_or_unsupported(step, t)
