@@ -8,9 +8,12 @@ parabolic fringes, where S = 16/5 holds exactly and tolerances would only
 mask sign errors. Its arithmetic is elementwise, so the mask search feeds
 it numpy arrays and scores a whole batch of masks in one pass.
 
-The search's random starts descend in lockstep: each step scores in one
-batch the trials every unfinished start has left, and in a short round its
-later sweeps; a start at S = 4.0, which no float S exceeds, stops scoring.
+The search's random starts are the uniform draws of PCG64 streams seeded
+with seed * 7919 + start, reproduced in-package (``pcg64``) bit for bit as
+numpy's default_rng draws them. They descend in lockstep: each step scores
+in one batch the trials every unfinished start has left, and in a short
+round its later sweeps; a start at S = 4.0, which no float S exceeds, stops
+scoring.
 The improvements are replayed in start order at the evaluation counts of a
 one-start-at-a-time loop, so the trace, the tie-breaks and the cut-off of
 the exploration half are that loop's; a start it would never reach is lost.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -107,8 +111,9 @@ def _four_probabilities(fringe, wrap, x, y, perp):
 
 def _correlation(four, floor, x, y):
     """E = [P(x,y) + P(x',y') - P(x,y') - P(x',y)] / [sum of the four]; a sum
-    at or below ``floor`` is degenerate: an error for one fringe, NaN in the
-    rows of a batch of fringes (arrays of probabilities)."""
+    at or below ``floor`` is degenerate and a NaN or infinite one is no rate:
+    for one fringe an error, in the rows of a batch of fringes (arrays of
+    probabilities) NaN."""
     direct, both, cross_y, cross_x = four
     denom = direct + both + cross_y + cross_x
     if getattr(denom, "ndim", 0):
@@ -117,6 +122,8 @@ def _correlation(four, floor, x, y):
         denom = np.where(denom > floor, denom, np.nan)
     elif denom <= floor:
         raise DegenerateFringeError(f"vanishing coincidence rate at settings ({x}, {y})")
+    elif not denom < math.inf:
+        raise ValueError(f"coincidence rates at settings ({x}, {y}) sum to {denom}")
     return (direct + both - cross_y - cross_x) / denom
 
 
@@ -306,10 +313,16 @@ def search_max_s(sector_count: int, phi: float,
     """
     import numpy as np
 
+    from .pcg64 import uniform
+
     if sector_count < 1:
         raise ValueError("sector_count must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be an integer, not {type(seed).__name__}") from None
     if seed < 0:
         raise ValueError("seed must be >= 0")
     if init_mask is not None and init_mask.phi != phi:
@@ -364,8 +377,8 @@ def search_max_s(sector_count: int, phi: float,
     # so no more than explore - evals of them can be reached
     n_starts = min(_N_STARTS, explore - evals)
     if n_starts > 0:
-        x = np.array([np.sort(np.random.default_rng(seed * 7919 + start).uniform(
-            0.0, TWO_PI, size=2 * sector_count)) for start in range(n_starts)])
+        x = np.sort(uniform([seed * 7919 + start for start in range(n_starts)],
+                            0.0, TWO_PI, 2 * sector_count), axis=-1)
         s = score(x)
         used, events = _descend(score, x, s, per_start, math.pi / 4)
         # replay the starts one after another, as a sequential loop would

@@ -49,7 +49,7 @@ def spiral_overlap_probability(lam: float, alpha: float) -> float:
     return (1.0 - a / math.pi) ** 2 * s * s + (1.0 - s * s)
 
 
-def covariogram(starts, widths, deltas, period=TWO_PI):
+def covariogram(starts, widths, deltas, period=TWO_PI, scratch=None):
     """Set covariogram |M & (M + delta)| of the union M of the disjoint arcs
     [starts_i, starts_i + widths_i) on a circle of period P, at each delta:
     floats in radians with P = 2*pi, or Fractions of pi (object arrays) with
@@ -64,7 +64,10 @@ def covariogram(starts, widths, deltas, period=TWO_PI):
     t in [0, P], L(t) = max(0, min(u, t + v) - t) and
     L(t - P) = max(0, min(u, t - P + v)).
     The terms are laid out as (k, k, D, rows), and the pairs are added one
-    after another, so a mask's value does not depend on its batch.
+    after another, so a mask's value does not depend on its batch. t and
+    L(t) are built in two fresh grids of k * k * D * rows elements, or in
+    the leading elements of the two rows of ``scratch``, which the result
+    then shares.
     """
     import numpy as np
 
@@ -74,12 +77,17 @@ def covariogram(starts, widths, deltas, period=TWO_PI):
     lead, k = a.shape[:-1], a.shape[-1]
     a, u = (np.ascontiguousarray(x.reshape(-1, k).T) for x in (a, u))
     u_i, v_j = u[:, None, None, :], u[None, :, None, :]
-    t = (a[None, :, None, :] - a[:, None, None, :]) + np.mod(np.asarray(deltas), period)[:, None]
+    d = np.mod(np.asarray(deltas), period)
+    t = near = None
+    if scratch is not None:
+        shape = (k, k, len(d), a.shape[1])
+        t, near = (grid[:math.prod(shape)].reshape(shape) for grid in scratch)
+    t = np.add(a[None, :, None, :] - a[:, None, None, :], d[:, None], out=t)
     below, above = t < 0, t >= period
     np.add(t, period, out=t, where=below)
     np.subtract(t, period, out=t, where=above)
     del below, above
-    near = np.add(t, v_j)  # L(t)
+    near = np.add(t, v_j, out=near)  # L(t)
     np.minimum(u_i, near, out=near)
     np.subtract(near, t, out=near)
     np.maximum(0, near, out=near)
@@ -118,9 +126,11 @@ def _displaced(starts, widths, deltas, period=TWO_PI):
     blocks = [(j, np.concatenate(([0], d[j:j + n_deltas])))
               for j in range(0, d.size, n_deltas)]
     out = np.empty((len(a), d.size), np.result_type(a, u, d, period))
+    # the covariogram's two grids, sized for the largest block and reused
+    scratch = np.empty((2, k * k * (min(n_deltas, d.size) + 1) * min(n_rows, len(a))), out.dtype)
     for r in range(0, len(a), n_rows):
         for j, block in blocks:
-            c = covariogram(a[r:r + n_rows], u[r:r + n_rows], block, period)
+            c = covariogram(a[r:r + n_rows], u[r:r + n_rows], block, period, scratch)
             out[r:r + n_rows, j:j + n_deltas] = c[:, :1] - c[:, 1:]
     return out.reshape(lead + (d.size,))
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from fractions import Fraction
 
 import hypothesis
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from oamsim import bell, overlap
-from oamsim.angular import TWO_PI
+from oamsim.angular import TWO_PI, wrap_angle
 from oamsim.bell import (
     POLARIZATION_SETTINGS,
     POLARIZATION_SETTINGS_PI,
@@ -130,6 +131,18 @@ def test_degenerate_fringe_raises():
     assert chsh_s_exact(lambda t: Fraction(1, 10**30), SPIRAL_SETTINGS_PI) == 0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_rate_sum_raises_naming_its_setting_pair(value):
+    # a NaN or infinite rate gives no E: one fringe raises, while a NaN in
+    # a batch makes the row's S NaN, which the mask search scores -inf
+    with pytest.raises(ValueError, match=re.escape(f"settings {SPIRAL_SETTINGS.pairs()[0]}")):
+        chsh_s(lambda d: value, SPIRAL_SETTINGS)
+    batch = np.array([0.25, math.nan])
+    s = bell._chsh(lambda d: batch, wrap_angle, SPIRAL_SETTINGS.pairs(), math.pi,
+                   bell._FLOAT_FLOOR)[0]
+    assert s[0] == 0.0 and np.isnan(s[1])
+
+
 # its fringe and the fringe half a turn on both vanish at the relative angle
 # -pi/4 of (a1, a2)
 _VANISHING_MASK = BinarySectors(math.pi, ((0.0, math.pi / 2), (math.pi, 3 * math.pi / 2)))
@@ -201,6 +214,19 @@ def test_search_validation():
         search_max_s(3, math.pi, budget=0)
     with pytest.raises(ValueError, match="seed must be >= 0"):
         search_max_s(3, math.pi, seed=-1)
+
+
+def test_search_takes_any_integer_seed():
+    # numpy integers and bools seed the search as the int they equal
+    expected = search_max_s(2, math.pi, budget=300, seed=1)
+    for seed in (np.int64(1), np.uint8(1), True):
+        assert search_max_s(2, math.pi, budget=300, seed=seed) == expected
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, "3"])
+def test_search_rejects_a_seed_that_is_no_integer(seed):
+    with pytest.raises(TypeError, match="seed must be an integer, not (float|str)"):
+        search_max_s(2, math.pi, budget=300, seed=seed)
 
 
 def test_search_budget_zero_evaluates_initial_mask():
@@ -420,10 +446,10 @@ def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
     sizes = []
     covariogram = overlap.covariogram
 
-    def checked(starts, widths, deltas, period=TWO_PI):
+    def checked(starts, widths, deltas, period=TWO_PI, scratch=None):
         k = np.shape(starts)[-1]
         sizes.append(np.size(starts) * k * len(deltas))
-        return covariogram(starts, widths, deltas, period)
+        return covariogram(starts, widths, deltas, period, scratch)
 
     monkeypatch.setattr(overlap, "covariogram", checked)
     search_max_s(16, math.pi, budget=2000, seed=0)

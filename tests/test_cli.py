@@ -455,7 +455,8 @@ def _fresh_python(script, cwd, args=()):
 
 def test_subcommands_load_no_scipy(tmp_path):
     # scipy serves only the oracle's quadrature check and the tests; the
-    # import and every subcommand run on numpy alone
+    # import and every subcommand run on numpy alone, and the search draws
+    # its starts without numpy's random module
     commands = [
         ["bell", "--ell", "0.5"],
         ["fringe", "--ell", "0.5", "--verify"],
@@ -466,8 +467,8 @@ def test_subcommands_load_no_scipy(tmp_path):
     ]
     code = ("import sys, oamsim.cli\n"
             f"codes = [oamsim.cli.main(argv) for argv in {commands!r}]\n"
-            "print(codes, sorted(m for m in sys.modules"
-            " if m == 'scipy' or m.startswith('scipy.')))")
+            "print(codes, sorted(m for m in sys.modules if m in ('scipy', 'numpy.random')"
+            " or m.startswith(('scipy.', 'numpy.random.'))))")
     assert _fresh_python(code, tmp_path).strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
 
