@@ -83,19 +83,19 @@ class BellSettings:
         }
 
 
-# Analyzer angles for the 2*pi-periodic fringes (half-integer spiral and the
-# phi = pi/2 step plate): polarization standards scaled by two, orthogonal
-# setting at +pi.
-SPIRAL_SETTINGS = BellSettings(-math.pi / 4, math.pi / 4, -math.pi / 2, 0.0, math.pi)
-
-# Unscaled polarization standards with orthogonal setting at +pi/2, matching
-# the pi-periodic phi = pi step-plate fringe.
-POLARIZATION_SETTINGS = BellSettings(-math.pi / 8, math.pi / 8, -math.pi / 4, 0.0, math.pi / 2)
-
-# Same angles expressed as fractions of pi, for the exact-arithmetic path.
+# Analyzer angles as fractions of pi, for the exact-arithmetic path: for the
+# 2*pi-periodic fringes (half-integer spiral and the phi = pi/2 step plate)
+# the polarization standards scaled by two, orthogonal setting at +pi; the
+# unscaled standards with orthogonal setting at +pi/2 for the pi-periodic
+# phi = pi step-plate fringe.
 SPIRAL_SETTINGS_PI = (Fraction(-1, 4), Fraction(1, 4), Fraction(-1, 2), Fraction(0), Fraction(1))
 POLARIZATION_SETTINGS_PI = (
     Fraction(-1, 8), Fraction(1, 8), Fraction(-1, 4), Fraction(0), Fraction(1, 2))
+
+# The same angles in radians. Each fraction is zero or a power of two, so
+# each product only rescales the double pi, bit for bit as -pi/4 does.
+SPIRAL_SETTINGS = BellSettings(*(math.pi * float(f) for f in SPIRAL_SETTINGS_PI))
+POLARIZATION_SETTINGS = BellSettings(*(math.pi * float(f) for f in POLARIZATION_SETTINGS_PI))
 
 
 def _four_probabilities(fringe, wrap, x, y, perp):
@@ -113,18 +113,20 @@ def _correlation(four, floor, x, y):
     """E = [P(x,y) + P(x',y') - P(x,y') - P(x',y)] / [sum of the four]; a sum
     at or below ``floor`` is degenerate and a NaN or infinite one is no rate:
     for one fringe an error, in the rows of a batch of fringes (arrays of
-    probabilities) NaN."""
+    probabilities) NaN, set into the row's P(x,y) + P(x',y') before the
+    subtractions, so that an infinite rate makes no inf - inf."""
     direct, both, cross_y, cross_x = four
-    denom = direct + both + cross_y + cross_x
+    pair = direct + both
+    denom = pair + cross_y + cross_x
     if getattr(denom, "ndim", 0):
         import numpy as np
 
-        denom = np.where(denom > floor, denom, np.nan)
+        pair = np.where((denom > floor) & (denom < math.inf), pair, np.nan)
     elif denom <= floor:
         raise DegenerateFringeError(f"vanishing coincidence rate at settings ({x}, {y})")
     elif not denom < math.inf:
         raise ValueError(f"coincidence rates at settings ({x}, {y}) sum to {denom}")
-    return (direct + both - cross_y - cross_x) / denom
+    return (pair - cross_y - cross_x) / denom
 
 
 def _chsh(fringe, wrap, pairs, perp, floor):

@@ -133,36 +133,29 @@ def _plate_from_args(args) -> plates.PhasePlate:
     raise InputError(f"unknown plate family {kind!r}; use --plate-json for binary masks")
 
 
-def _settings_from_args(args, plate=None) -> bell.BellSettings:
-    name = getattr(args, "settings", "auto")
-    if name == "polarization":
-        return bell.POLARIZATION_SETTINGS
-    if name == "spiral":
-        return bell.SPIRAL_SETTINGS
-    # auto: pi-periodic phi=pi step fringe takes the polarization standards
-    if isinstance(plate, plates.Step) and abs(plate.phi - math.pi) < 1e-12:
+def _settings(name, pi_periodic) -> bell.BellSettings:
+    """The analyzer angles --settings names; auto takes the polarization
+    standards for a pi-periodic fringe (cos^2, the phi = pi step) and the
+    spiral ones otherwise."""
+    if name == "polarization" or (name == "auto" and pi_periodic):
         return bell.POLARIZATION_SETTINGS
     return bell.SPIRAL_SETTINGS
 
 
 def cmd_fringe(args) -> int:
     plate = _plate_from_args(args)
+    curve = overlap.sample_curve(plate, args.samples)
+    if args.kind == "coincidence":
+        curve = replace(curve, header=("delta_rad", "coincidence_probability"))
     if args.verify:
         from .oracle import OracleMismatch, verify_overlap
-    else:
-        OracleMismatch = ()  # an empty tuple of exception types catches nothing
-    try:
-        if args.kind == "overlap":
-            curve = overlap.sample_curve(plate, args.samples, verify=args.verify)
-        else:
-            curve = replace(overlap.sample_curve(plate, args.samples),
-                            header=("delta_rad", "coincidence_probability"))
-            if args.verify:
-                for d, _ in curve.samples:
-                    verify_overlap(plate, d).require()
-    except OracleMismatch as exc:
-        print(f"oracle mismatch: {exc}", file=sys.stderr)
-        return 1
+
+        try:
+            for a, _ in curve.samples:
+                verify_overlap(plate, a).require()
+        except OracleMismatch as exc:
+            print(f"oracle mismatch: {exc}", file=sys.stderr)
+            return 1
     curve.write_csv(args.out)
     rows = curve.samples
     print(f"{len(rows)} samples, min probability {min(p for _, p in rows):.12g}")
@@ -171,15 +164,14 @@ def cmd_fringe(args) -> int:
 
 def cmd_bell(args) -> int:
     if args.fringe == "cos2":
-        settings = (bell.POLARIZATION_SETTINGS if args.settings in ("auto", "polarization")
-                    else bell.SPIRAL_SETTINGS)
-        result = bell.chsh_s(lambda d: math.cos(d) ** 2, settings, fringe_id="cos2")
+        result = bell.chsh_s(lambda d: math.cos(d) ** 2, _settings(args.settings, True),
+                             fringe_id="cos2")
     else:
         plate = _plate_from_args(args)
-        settings = _settings_from_args(args, plate)
+        pi_periodic = isinstance(plate, plates.Step) and abs(plate.phi - math.pi) < 1e-12
         result = bell.chsh_s(
-            lambda d: overlap.closed_form_probability(plate, d), settings,
-            fringe_id=plates.to_json(plate))
+            lambda d: overlap.closed_form_probability(plate, d),
+            _settings(args.settings, pi_periodic), fringe_id=plates.to_json(plate))
     if args.out:
         result.write_json(args.out)
     print(f"{result.s:.12g}")
@@ -192,7 +184,8 @@ def cmd_search(args) -> int:
         init = _read_plate(args.init)
         if not isinstance(init, plates.BinarySectors):
             raise InputError(f"--init must describe a binary mask, not a {type(init).__name__}")
-    settings = _settings_from_args(args)
+    # a mask's fringe is not known to be pi-periodic, so auto means spiral
+    settings = _settings(args.settings, False)
     phi = parse_angle(args.phi)
     try:
         result = bell.search_max_s(

@@ -2,8 +2,11 @@
 delta/pi, in Fractions, and their sampled curves.
 
 Each function returns the overlap between a plate-generated basis state and
-the same state with its edge rotated, as derived analytically; the
-oracle module re-derives every value by angular quadrature. The law is also
+the same state with its edge rotated, as derived analytically. The oracle
+module, which imports this one and is never imported by it, re-derives every
+value by angular quadrature; a sampled curve holds the law alone, at the
+angles asked for, and ``fringe --verify`` checks each sample against the
+oracle at the grid node nearest its angle. The law is also
 the coincidence rate behind two analyzer plates at relative angle delta for
 a pump without OAM, the radial and fiber factors cancelling in the
 correlation function: the parabola (1 - delta/pi)^2 at half-integer steps.
@@ -25,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angular import TWO_PI, AngularGrid, wrap_angle
+from .angular import TWO_PI, wrap_angle
 from .plates import BinarySectors, PhasePlate, Spiral, Step
 
 # Elements, rows * k**2 * (deltas + 1), of one covariogram call. At its
@@ -211,15 +214,6 @@ def closed_form_probability_exact(plate, t: Fraction) -> Fraction:
     return _sector_law(m, Fraction(1), one_minus_cos)
 
 
-def closed_form_probabilities(plate, angles) -> list:
-    """closed_form_probability at each angle. A binary mask's values come
-    from one blocked covariogram pass over all angles, each equal to its
-    single-angle value."""
-    if isinstance(plate, BinarySectors):
-        return binary_mask_probabilities(plate.phi, *_arcs(plate.sectors), angles).tolist()
-    return [closed_form_probability(plate, a) for a in angles]
-
-
 @dataclass(frozen=True)
 class SampledCurve:
     """A plate's probability law sampled over an angle in [0, 2*pi)."""
@@ -236,26 +230,16 @@ class SampledCurve:
                 writer.writerow([f"{a:.12g}", f"{p:.12g}"])
 
 
-def sample_curve(plate, n_samples: int, verify: bool = False) -> SampledCurve:
-    """Uniformly sample the plate's rotation-overlap law on [0, 2*pi).
-
-    With ``verify`` on, each sample angle is snapped to the default
-    quadrature grid and cross-checked against the oracle's quadrature of
-    the sampled plate profiles at its default tolerance. The check is exact only when
-    every phase jump lies on a grid node: for binary masks whose sector
-    boundaries fall between nodes, the quadrature carries an O(1/n_points)
-    boundary error and the check raises OracleMismatch.
-    """
+def sample_curve(plate, n_samples: int) -> SampledCurve:
+    """The plate's rotation-overlap law at the n_samples angles
+    2*pi*k/n_samples in [0, 2*pi). A binary mask's values come from one
+    blocked covariogram pass over all angles, each equal to its
+    single-angle value."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if verify:
-        from .oracle import verify_overlap  # the oracle imports this module
-
     angles = [TWO_PI * k / n_samples for k in range(n_samples)]
-    if verify:
-        grid = AngularGrid()
-        angles = [grid.nearest_node(a) for a in angles]
-        values = [verify_overlap(plate, a, grid=grid).require().closed_form for a in angles]
+    if isinstance(plate, BinarySectors):
+        values = binary_mask_probabilities(plate.phi, *_arcs(plate.sectors), angles).tolist()
     else:
-        values = closed_form_probabilities(plate, angles)
+        values = [closed_form_probability(plate, a) for a in angles]
     return SampledCurve(plate, tuple(zip(angles, values)), ("alpha_rad", "probability"))

@@ -138,12 +138,18 @@ def test_criterion_4_fringe_law(capsys):
                 f"runtime={elapsed:.2f}s")
 
 
+def _verify_curve(plate, n_samples):
+    """The oracle's check of each sample of the plate's sampled law."""
+    for a, _ in sample_curve(plate, n_samples).samples:
+        verify_overlap(plate, a).require()
+
+
 def test_criterion_5_overlap_curves(capsys):
     t0 = time.perf_counter()
     details = []
     ok = True
     for lam in (0.0, 0.25, 0.5):
-        sample_curve(Spiral(2 + lam), 64, verify=True)  # oracle at 1e-8
+        _verify_curve(Spiral(2 + lam), 64)  # oracle at 1e-8
         at_pi = spiral_overlap_probability(lam, math.pi)
         floor = math.cos(lam * math.pi) ** 2
         ok &= abs(at_pi - floor) <= 1e-12
@@ -154,7 +160,7 @@ def test_criterion_5_overlap_curves(capsys):
                       for a, p in sample_curve(Spiral(2.0), 64).samples)
         details.append(f"lam={lam}: min {at_pi:.6f}")
     for phi in (0.0, math.pi / 2, math.pi):
-        sample_curve(Step(phi), 64, verify=True)
+        _verify_curve(Step(phi), 64)
         if phi == math.pi:
             period_dev = max(
                 abs(closed_form_probability(Step(phi), a)

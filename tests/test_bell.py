@@ -42,6 +42,13 @@ def test_settings_validation():
         BellSettings(0.0, 1.0, 0.0, 1.0, 0.0)
 
 
+def test_radian_settings_are_the_fractions_of_pi_written_out():
+    # built from the exact path's fractions, bit for bit the paper's angles
+    assert SPIRAL_SETTINGS == BellSettings(-math.pi / 4, math.pi / 4, -math.pi / 2, 0.0, math.pi)
+    assert POLARIZATION_SETTINGS == BellSettings(
+        -math.pi / 8, math.pi / 8, -math.pi / 4, 0.0, math.pi / 2)
+
+
 def test_half_integer_spiral_correlations():
     values = list(chsh_s(_plate_fringe(Spiral(0.5)), SPIRAL_SETTINGS).e.values())
     assert values == pytest.approx([0.8, -0.8, 0.8, 0.8], abs=1e-12)
@@ -133,14 +140,28 @@ def test_degenerate_fringe_raises():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_a_non_finite_rate_sum_raises_naming_its_setting_pair(value):
-    # a NaN or infinite rate gives no E: one fringe raises, while a NaN in
-    # a batch makes the row's S NaN, which the mask search scores -inf
+    # a NaN or infinite rate gives no E: one fringe raises, while in a batch
+    # it makes the row's S NaN, which the mask search scores -inf
     with pytest.raises(ValueError, match=re.escape(f"settings {SPIRAL_SETTINGS.pairs()[0]}")):
         chsh_s(lambda d: value, SPIRAL_SETTINGS)
-    batch = np.array([0.25, math.nan])
+    batch = np.array([0.25, value])
     s = bell._chsh(lambda d: batch, wrap_angle, SPIRAL_SETTINGS.pairs(), math.pi,
                    bell._FLOAT_FLOOR)[0]
     assert s[0] == 0.0 and np.isnan(s[1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_batch_row_that_is_no_rate_reads_nan_and_leaves_the_others_alone():
+    # an infinite, NaN or vanishing row reads NaN without an inf - inf, and
+    # every finite row keeps its one-fringe S bit for bit
+    plates = (Spiral(0.5), Spiral(0.3), Step(math.pi / 2))
+    rows = [*(_plate_fringe(p) for p in plates), lambda d: math.inf, lambda d: math.nan,
+            lambda d: 0.0]
+    order = (0, 3, 1, 4, 5, 2)
+    s = bell._chsh(lambda d: np.array([rows[i](d) for i in order]), wrap_angle,
+                   SPIRAL_SETTINGS.pairs(), SPIRAL_SETTINGS.perp_offset, bell._FLOAT_FLOOR)[0]
+    assert np.isnan(s[[1, 3, 4]]).all()
+    assert [s[0], s[2], s[5]] == [chsh_s(rows[i], SPIRAL_SETTINGS).s for i in (0, 1, 2)]
 
 
 # its fringe and the fringe half a turn on both vanish at the relative angle

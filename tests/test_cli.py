@@ -190,16 +190,24 @@ def test_fringe_coincidence_csv(tmp_path, capsys):
 @pytest.mark.parametrize("plate", [["--ell", "0.25"], ["--ell", "2.5"],
                                    ["--plate", "step", "--phi", "pi/3"]],
                          ids=["spiral-quarter", "spiral-5/2", "step-third"])
-def test_coincidence_fringe_is_the_sampled_overlap_law(tmp_path, plate):
-    # the two kinds differ in their header only
-    csv = {}
+def test_coincidence_fringe_is_the_sampled_overlap_law(tmp_path, capsys, plate):
+    # the two kinds differ in their header only, and --verify checks the
+    # samples without changing a row or the printed minimum
+    csv, printed = {}, {}
     for kind in ("coincidence", "overlap"):
-        out = tmp_path / f"{kind}.csv"
-        assert main(["fringe", "--kind", kind, "--samples", "97", "--out", str(out)] + plate) == 0
-        csv[kind] = out.read_text().splitlines()
-    assert csv["coincidence"][0] == "delta_rad,coincidence_probability"
-    assert csv["overlap"][0] == "alpha_rad,probability"
-    assert csv["coincidence"][1:] == csv["overlap"][1:] and len(csv["overlap"]) == 98
+        for verify in ([], ["--verify"]):
+            out = tmp_path / f"{kind}{len(verify)}.csv"
+            argv = ["fringe", "--kind", kind, "--samples", "97", "--out", str(out)]
+            assert main(argv + verify + plate) == 0
+            csv[kind, bool(verify)] = out.read_text().splitlines()
+            printed[kind, bool(verify)] = capsys.readouterr().out
+    assert csv["coincidence", False][0] == "delta_rad,coincidence_probability"
+    assert csv["overlap", False][0] == "alpha_rad,probability"
+    assert len(csv["overlap", False]) == 98
+    for key in csv:
+        assert csv[key][0] == csv[key[0], False][0]
+        assert csv[key][1:] == csv["coincidence", False][1:], key
+        assert printed[key] == printed["coincidence", False], key
 
 
 def test_fringe_overlap_verified(tmp_path):

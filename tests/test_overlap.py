@@ -29,7 +29,7 @@ from oamsim.overlap import (
     sample_curve,
     spiral_overlap_probability,
 )
-from oamsim.oracle import OracleMismatch, geometric_profile
+from oamsim.oracle import OracleMismatch, geometric_profile, verify_overlap
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state, sector_intervals
 
 
@@ -426,15 +426,18 @@ def test_sample_curve_verified_against_quadrature():
     # binary sector boundaries sit on grid nodes so the quadrature is exact
     mask = BinarySectors(1.0, ((math.pi / 2, 3 * math.pi / 2),))
     for plate in (Spiral(2.25), Step(2 * math.pi / 3), mask):
-        curve = sample_curve(plate, 32, verify=True)
+        curve = sample_curve(plate, 32)
         assert len(curve.samples) == 32
+        for a, _ in curve.samples:
+            verify_overlap(plate, a).require()
 
 
 def test_sample_curve_verify_raises_on_mismatch():
     # a sector edge at 1 rad lies between grid nodes, so the quadrature is off
     mask = BinarySectors(math.pi, ((0.0, 1.0),))
     with pytest.raises(OracleMismatch):
-        sample_curve(mask, 8, verify=True)
+        for a, _ in sample_curve(mask, 8).samples:
+            verify_overlap(mask, a).require()
 
 
 def test_sample_curve_validation():
