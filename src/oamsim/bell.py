@@ -223,17 +223,17 @@ def _sectors(boundaries):
 
 
 def _mask_scorer(phi, settings):
-    """S of each row of a (B, 2k) batch of boundary vectors, one fringe table
-    per batch at the settings' relative angles; a row whose geometry
-    degenerates (coincident boundaries, full or empty coverage) or whose
-    fringe vanishes at a setting pair scores -inf."""
+    """S of each row of a (B, 2k) batch of boundary vectors, one fringe table per
+    batch at the 6 (spiral) or 8 (polarization) distinct folds min(d, 2*pi - d)
+    of the settings' relative angles d; a row whose geometry degenerates (coincident
+    boundaries, full or empty coverage) or whose fringe vanishes at a setting pair scores -inf."""
     import numpy as np
 
     pairs, perp = settings.pairs(), settings.perp_offset
     # the identity fringe hands back the wrapped relative angles _chsh asks for
-    deltas = sorted({d for x, y in pairs
-                     for d in _four_probabilities(lambda d: d, wrap_angle, x, y, perp)})
-    column = {d: i for i, d in enumerate(deltas)}
+    angles = {d for x, y in pairs for d in _four_probabilities(lambda d: d, wrap_angle, x, y, perp)}
+    deltas = sorted({min(d, TWO_PI - d) for d in angles})
+    column = {d: deltas.index(min(d, TWO_PI - d)) for d in angles}
 
     def score(boundaries):
         starts, ends = _sectors(boundaries)

@@ -48,6 +48,9 @@ LIMITS = {
     "l_halfwidth": 250,
 }
 
+# the plate flags have no parser defaults, so one left out reads None
+_PLATE_FLAGS = ("plate", "ell", "phi", "alpha", "plate_json")
+
 _OPERATORS = {
     ast.Add: operator.add,
     ast.Sub: operator.sub,
@@ -120,16 +123,14 @@ def _read_plate(path) -> plates.PhasePlate:
 def _plate_from_args(args) -> plates.PhasePlate:
     if getattr(args, "plate_json", None):
         return _read_plate(args.plate_json)
-    kind = args.plate
-    alpha = parse_angle(args.alpha)
+    kind = args.plate or "spiral"
+    alpha = parse_angle("0" if args.alpha is None else args.alpha)
     if kind == "spiral":
         if args.ell is None:
             raise InputError("--ell is required for spiral plates")
         return plates.Spiral(float(args.ell), alpha)
     if kind == "step":
-        if args.phi is None:
-            raise InputError("--phi is required for step plates")
-        return plates.Step(parse_angle(args.phi), alpha)
+        return plates.Step(parse_angle("pi" if args.phi is None else args.phi), alpha)
     raise InputError(f"unknown plate family {kind!r}; use --plate-json for binary masks")
 
 
@@ -164,6 +165,8 @@ def cmd_fringe(args) -> int:
 
 def cmd_bell(args) -> int:
     if args.fringe == "cos2":
+        if given := [flag for flag in _PLATE_FLAGS if getattr(args, flag) is not None]:
+            raise InputError(f"--fringe cos2 takes no plate flag: --{given[0].replace('_', '-')}")
         result = bell.chsh_s(lambda d: math.cos(d) ** 2, _settings(args.settings, True),
                              fringe_id="cos2")
     else:
@@ -244,10 +247,10 @@ def cmd_verify(args) -> int:
 
 
 def _add_plate_flags(sub):
-    sub.add_argument("--plate", choices=["spiral", "step"], default="spiral")
+    sub.add_argument("--plate", choices=["spiral", "step"], help="plate family (default spiral)")
     sub.add_argument("--ell", type=float, help="spiral step index")
-    sub.add_argument("--phi", default="pi", help="step/binary phase delay (radians, pi literals)")
-    sub.add_argument("--alpha", default="0", help="plate orientation (radians, pi literals)")
+    sub.add_argument("--phi", help="step phase delay (radians, pi literals; default pi)")
+    sub.add_argument("--alpha", help="plate orientation (radians, pi literals; default 0)")
     sub.add_argument("--plate-json", help="JSON plate description file (any family)")
 
 

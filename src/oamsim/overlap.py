@@ -14,11 +14,11 @@ correlation function: the parabola (1 - delta/pi)^2 at half-integer steps.
 Steps and binary masks share the sector law |1 - (m/pi)(1 - cos(phi))|^2,
 m = measure(M \\ (M + delta)) of their delayed set M. A step's half-plane
 gives m = min(|delta|, 2*pi - |delta|): the printed amplitude
-1 + (alpha/pi)(cos(phi) - 1) leaves the unit disk for alpha < 0. A mask's m
-follows from the set covariogram of its sectors, computed in numpy for whole
-batches of masks or angles, in blocks of bounded size, and, on Fractions of
-pi, exactly: from arc starts in [0, period] (others raise), wrapping only
-the deltas with np.mod, with the rows innermost.
+1 + (alpha/pi)(cos(phi) - 1) leaves the unit disk for alpha < 0. A mask's
+m = |M| - C(delta) sums |M| from its widths and reads its sectors' set
+covariogram C(delta) = C(-delta) only at |delta| folded onto [0, pi]: for
+whole batches of masks or angles in numpy, in blocks of rows * sectors**2 *
+angles elements, and, on Fractions of pi, exactly.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ from fractions import Fraction
 from .angular import TWO_PI, wrap_angle
 from .plates import BinarySectors, PhasePlate, Spiral, Step
 
-# Elements, rows * k**2 * (deltas + 1), of one covariogram call. At its
-# peak a call holds t (8 bytes an element) and the two numpy iterator
-# buffers, of up to np.getbufsize() = 2**13 float64s each, that broadcasting
-# its operands takes; or t, L(t) and one such buffer. The wrap's two boolean
+# Elements, rows * k**2 * deltas, of one covariogram call. At its peak a
+# call holds t (8 bytes an element) and the two numpy iterator buffers, of
+# up to np.getbufsize() = 2**13 float64s each, that broadcasting its
+# operands takes; or t, L(t) and one such buffer. The wrap's two boolean
 # masks (1 byte an element each) live beside t alone. A call at the cap
-# (k = 4, D = 10) peaks at 20.5 bytes an element, 330 KiB. On a 2-vCPU Xeon
-# it took 10.9, 7.7, 5.8 and 8.2 ns an element at caps of 2**12, 2**13,
-# 2**14 and 2**15 elements (the last outgrows the cache), and six
-# 20000-evaluation searches (k = 2-4) 0.129, 0.107, 0.099 and 0.099 s.
+# (k = 4, D = 8: 128 rows) peaks at 20.6 bytes an element, 330 KiB. On a
+# 2-vCPU Xeon, with a delta = 0 column beside each mask's angles, it took
+# 10.9, 7.7, 5.8 and 8.2 ns an element at caps of 2**12 to 2**15 elements
+# (the last outgrows the cache).
 _COVARIOGRAM_ELEMENTS = 2 ** 14
 
 
@@ -113,28 +113,28 @@ def _arcs(sectors):
 
 
 def _displaced(starts, widths, deltas, period=TWO_PI):
-    """m(delta) = measure(M \\ (M + delta)) = C(0) - C(delta) for the
-    covariogram C of each row's arcs, in the units of ``period``.
-
-    Rows and deltas reach the covariogram in blocks of at most
-    _COVARIOGRAM_ELEMENTS elements (while k**2 is at most half of it), and
-    each value is the one its mask and delta would give alone."""
+    """m(delta) = measure(M \\ (M + delta)) = |M| - C(delta) in the units
+    of the period P: |M| the row's widths summed in sector order, C the
+    covariogram of its arcs at delta folded onto [0, P/2], min(delta mod P,
+    P - delta mod P), exact by Sterbenz's lemma and idempotent.
+    Blocks of rows and folded deltas of at most _COVARIOGRAM_ELEMENTS reach
+    C, and each value is the one its mask and delta would give alone."""
     import numpy as np
 
-    a, u, d = np.asarray(starts), np.asarray(widths), np.asarray(deltas)
+    a, u, d = np.asarray(starts), np.asarray(widths), np.mod(deltas, period)
+    d = np.minimum(d, period - d)
     k = a.shape[-1]
     lead, a, u = a.shape[:-1], a.reshape(-1, k), u.reshape(-1, k)
-    n_deltas = max(1, min(d.size, _COVARIOGRAM_ELEMENTS // (k * k) - 1))
-    n_rows = max(1, _COVARIOGRAM_ELEMENTS // (k * k * (n_deltas + 1)))
-    blocks = [(j, np.concatenate(([0], d[j:j + n_deltas])))
-              for j in range(0, d.size, n_deltas)]
+    measure = sum(u.T[1:], u.T[0])
+    n_deltas = max(1, min(d.size, _COVARIOGRAM_ELEMENTS // (k * k)))
+    n_rows = max(1, _COVARIOGRAM_ELEMENTS // (k * k * n_deltas))
     out = np.empty((len(a), d.size), np.result_type(a, u, d, period))
     # the covariogram's two grids, sized for the largest block and reused
-    scratch = np.empty((2, k * k * (min(n_deltas, d.size) + 1) * min(n_rows, len(a))), out.dtype)
+    scratch = np.empty((2, k * k * n_deltas * min(n_rows, len(a))), out.dtype)
     for r in range(0, len(a), n_rows):
-        for j, block in blocks:
-            c = covariogram(a[r:r + n_rows], u[r:r + n_rows], block, period, scratch)
-            out[r:r + n_rows, j:j + n_deltas] = c[:, :1] - c[:, 1:]
+        for j in range(0, d.size, n_deltas):
+            c = covariogram(a[r:r + n_rows], u[r:r + n_rows], d[j:j + n_deltas], period, scratch)
+            out[r:r + n_rows, j:j + n_deltas] = measure[r:r + n_rows, None] - c
     return out.reshape(lead + (d.size,))
 
 

@@ -146,12 +146,8 @@ def to_dict(plate) -> dict:
         return {"type": "spiral", "ell": plate.ell, "alpha": plate.alpha}
     if isinstance(plate, Step):
         return {"type": "step", "phi": plate.phi, "alpha": plate.alpha}
-    return {
-        "type": "binary",
-        "phi": plate.phi,
-        "sectors": [[a, b] for a, b in plate.sectors],
-        "alpha": plate.alpha,
-    }
+    return {"type": "binary", "phi": plate.phi, "sectors": [[a, b] for a, b in plate.sectors],
+            "alpha": plate.alpha}
 
 
 def from_dict(doc: dict):

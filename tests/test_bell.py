@@ -503,6 +503,32 @@ def test_bench_shaped_searches_score_in_few_full_rounds(monkeypatch):
     assert calls <= 229 and rows <= 79529
 
 
+def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
+    # a work ratchet on the covariogram elements, rows * k**2 * angles, of
+    # the six searches of a benchmark bell round: the mask law takes |M|
+    # from the widths and reads C only at the distinct folded angles, 6 of
+    # the spiral settings and 8 of the polarization ones, none of them zero
+    # (a delta = 0 column for |M| and the unfolded 8 and 10 angles read
+    # 8145520 elements here)
+    elements, angles = 0, set()
+    covariogram = overlap.covariogram
+
+    def counted(starts, widths, deltas, period=TWO_PI, scratch=None):
+        nonlocal elements
+        elements += np.size(starts) * np.shape(starts)[-1] * len(deltas)
+        angles.add(len(deltas))
+        assert np.all(np.asarray(deltas) > 0)
+        return covariogram(starts, widths, deltas, period, scratch)
+
+    monkeypatch.setattr(overlap, "covariogram", counted)
+    for settings, n_angles in ((SPIRAL_SETTINGS, 6), (POLARIZATION_SETTINGS, 8)):
+        angles.clear()
+        for sector_count in (2, 3, 4):
+            search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
+        assert angles == {n_angles}
+    assert elements <= 5741658
+
+
 def test_search_is_deterministic():
     a = search_max_s(2, math.pi, budget=800, seed=7)
     b = search_max_s(2, math.pi, budget=800, seed=7)

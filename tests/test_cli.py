@@ -163,6 +163,27 @@ def test_bell_cos2_sanity(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("name, s", [("auto", 2.82842712475), ("polarization", 2.82842712475),
+                                     ("spiral", 0.0)])
+def test_bell_cos2_under_each_settings(tmp_path, capsys, name, s):
+    # the spiral settings double the cos^2 fringe's angles, so S is zero
+    # to rounding there
+    out = tmp_path / "b.json"
+    assert main(["bell", "--fringe", "cos2", "--settings", name, "--out", str(out)]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(s, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--ell", "inf"], ["--plate-json", "/nonexistent.json"],
+                                   ["--plate", "spiral"], ["--phi", "pi"], ["--alpha", "0"]])
+def test_bell_cos2_rejects_plate_flags(tmp_path, capsys, flags):
+    # the cos^2 fringe reads no plate, so a plate flag beside it is an error,
+    # even one that names a default
+    out = tmp_path / "b.json"
+    assert main(["bell", "--fringe", "cos2", *flags, "--out", str(out)]) == 2
+    assert f"takes no plate flag: {flags[0]}" in _one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sectors", [((0, 1), (2, 3)), ((0, 2), (4, 6))],
                          ids=["standard-sweep-mask", "alternate-quarters"])
 def test_bell_on_a_vanishing_fringe_exits_2(tmp_path, capsys, sectors):
@@ -533,6 +554,8 @@ def test_package_surface(tmp_path):
     ("bell --plate step --phi pi", 0),
     ("bell --plate step --phi pi/3", 0),
     ("bell --fringe cos2", 0),
+    ("bell --fringe cos2 --ell inf", 2),
+    ("bell --fringe cos2 --plate-json /nonexistent.json", 2),
     ("fringe --ell 0.5", 0),
     ("fringe --plate step --phi pi/2", 0),
     ("bell --ell inf", 2),

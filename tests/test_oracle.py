@@ -305,3 +305,38 @@ def test_oracle_does_not_import_the_closed_form_machinery():
     machinery = {"_pieces", "profile", "sector_intervals", "wrap_intervals", "plate_state",
                  "inner_product", "ClosedForm", "covariogram", "_arcs"}
     assert not machinery & _imports(oracle.__file__)
+
+
+# public functions that only tests call, each with the ROADMAP item that
+# will call it from the program or delete it; the list may only shrink
+_UNCALLED = {
+    "chsh_s_exact": "13: bell JSON records S_exact",
+    "s4_certificate": "13: search JSON records the certificate",
+    "fractional_tail_bound": "3: the Schmidt-sum fringe's tolerance",
+    "quadrature_radial_overlaps": "7(a): a verify report on the LG counts",
+    "verify_fringe_sample": "2: benchmark v2 deletes it with twophoton",
+}
+
+
+def test_every_public_function_has_a_caller_in_the_program():
+    # a use is a load of the name, outside its own definition, or an import
+    # of it by a program module; the package's re-exports in __init__ are
+    # not uses
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(oracle.__file__).parent.glob("*.py"))}
+    uses = set()  # of (module, line, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.add((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.add((module, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and module != "__init__.py":
+                uses.update((module, node.lineno, alias.name) for alias in node.names)
+    uncalled = {
+        node.name for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and not any(name == node.name and not (
+            where == module and node.lineno <= line <= node.end_lineno)
+            for where, line, name in uses)}
+    assert uncalled == set(_UNCALLED)

@@ -295,6 +295,21 @@ def test_covariogram_equals_its_reference_on_fractions(arcs):
     assert np.array_equal(got, _covariogram_reference(starts, widths, deltas, 2))
 
 
+@settings(max_examples=30, deadline=None)
+@given(arcs=_arc_batches(_FRACTION_BOUNDARY, _FRACTION_DELTA, object))
+def test_displaced_is_the_measure_less_the_covariogram_on_fractions(arcs):
+    # |M| summed from the widths, and C read at each delta folded onto
+    # [0, 1], are exactly C(0) - C(delta) at the delta as drawn and at its
+    # mirror in the other half of [0, 2)
+    starts, widths, deltas = arcs
+    deltas = np.concatenate((deltas, (2 - deltas) % 2))
+    measure = _covariogram_reference(starts, widths, np.array([Fraction(0)]), 2)
+    expected = measure - _covariogram_reference(starts, widths, deltas, 2)
+    got = _displaced(starts, widths, deltas, 2)
+    assert all(isinstance(m, Fraction) for m in got.flat)
+    assert np.array_equal(got, expected)
+
+
 def test_covariogram_rejects_starts_outside_the_period():
     widths = np.array([0.5, 0.5])
     for bad in (-0.1, TWO_PI + 0.1, math.nan):
