@@ -37,8 +37,9 @@ from . import bell, overlap, plates
 # bounded (a --grid of N holds one and a half N x N complex arrays and one
 # block of N/64 of their rows per thread, under 400 MiB at 4096; --budget
 # and --sectors set the search's mask evaluations and their size; --samples
-# the rows of a fringe; --p-max and --l-halfwidth the rows of a
-# decomposition)
+# the rows of a fringe; --p-max and --l-halfwidth the rows of a decomposition,
+# 406 118 at both bounds: 1.2 s and 120 MB a process from four columns, 2.2 s
+# and 151 MB from row tuples)
 LIMITS = {
     "budget": 1_000_000,
     "sectors": 16,

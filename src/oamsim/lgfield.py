@@ -13,7 +13,6 @@ by quadrature, as an independent check.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import threading
@@ -66,12 +65,39 @@ def radial_overlaps(l, p_max: int) -> np.ndarray:
     return overlaps
 
 
+class LgRows:
+    """(l, p, coefficient, power) rows read from four read-only columns."""
+
+    def __init__(self, *columns):
+        for column in columns:
+            column.flags.writeable = False
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        row = [column[i].tolist() for column in self.columns]
+        return tuple(zip(*row)) if isinstance(i, slice) else tuple(row)
+
+    def __iter__(self):
+        return zip(*(column.tolist() for column in self.columns))
+
+    def __eq__(self, other):
+        if isinstance(other, LgRows):
+            return all(map(np.array_equal, self.columns, other.columns))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class LgDecomposition:
-    """Plate-output field decomposed into LG components, greedily ordered
-    by descending single-mode power."""
+    """LG components of a plate output, greedily ordered by descending power:
+    a row view over four read-only columns, from which the CSV streams."""
 
-    entries: tuple  # of (l, p, coefficient, power), sorted by descending power
+    entries: LgRows  # (l, p, coefficient, power) rows, sorted by descending power
     l_window: tuple  # inclusive (l_min, l_max)
     p_max: int
     target_power: float
@@ -80,7 +106,7 @@ class LgDecomposition:
     @cached_property
     def cumulative_powers(self) -> np.ndarray:
         """Running sums of the entries' powers, left to right, read-only."""
-        cum = np.cumsum([e[3] for e in self.entries])
+        cum = np.cumsum(self.entries.columns[3])
         cum.flags.writeable = False
         return cum
 
@@ -103,12 +129,11 @@ class LgDecomposition:
         return int(idx) + 1
 
     def write_csv(self, path):
+        columns = (*self.entries.columns, self.cumulative_powers)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["l", "p", "re", "im", "power", "cumulative_power"])
-            for (l, p, coef, power), cum in zip(self.entries, self.cumulative_powers.tolist()):
-                writer.writerow([l, p, f"{coef.real:.12g}", f"{coef.imag:.12g}",
-                                 f"{power:.12g}", f"{cum:.12g}"])
+            fh.write("l,p,re,im,power,cumulative_power\r\n")
+            fh.writelines(f"{l},{p},{c.real:.12g},{c.imag:.12g},{w:.12g},{s:.12g}\r\n"
+                          for l, p, c, w, s in zip(*(column.tolist() for column in columns)))
 
 
 def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
@@ -141,8 +166,7 @@ def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
     w = powers[rows, ps]
     order = np.argsort(-w, kind="stable")
     rows, ps = rows[order], ps[order]
-    entries = tuple(zip(ls[rows].tolist(), ps.tolist(), coeffs[rows, ps].tolist(),
-                        w[order].tolist()))
+    entries = LgRows(ls[rows], ps, coeffs[rows, ps], w[order])
 
     angular_tail = 1.0 - sum(abs(a) ** 2 for _, a in angular)
     return LgDecomposition(entries, (l_min, l_max), p_max, target_power, angular_tail)

@@ -1,5 +1,6 @@
 """Tests for LG radial overlaps, decompositions, and far fields."""
 
+import csv
 import math
 import threading
 import tracemalloc
@@ -14,7 +15,7 @@ from oamsim import lgfield, oracle
 from oamsim.angular import TWO_PI, ClosedForm, oam_spectrum
 from oamsim.cli import main
 from oamsim.lgfield import (
-    _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
+    LgRows, _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state
 
 
@@ -280,6 +281,89 @@ def test_window_without_kept_amplitudes_is_empty_and_incomplete(tmp_path, capsys
     assert main(["decompose", "--ell", "2", "--p-max", "10", "--out", str(out)]) == 0
     assert capsys.readouterr().out == "incomplete: window power 0.000000\n"
     assert out.read_text().splitlines() == ["l,p,re,im,power,cumulative_power"]
+
+
+def _csv_by_csv_writer(d, path):
+    """The decomposition's CSV as a csv.writer loop over its rows writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["l", "p", "re", "im", "power", "cumulative_power"])
+        for (l, p, coef, power), cum in zip(d.entries, d.cumulative_powers.tolist()):
+            writer.writerow([l, p, f"{coef.real:.12g}", f"{coef.imag:.12g}",
+                             f"{power:.12g}", f"{cum:.12g}"])
+
+
+@pytest.mark.parametrize("plate, l_window, p_max", [
+    pytest.param(Spiral(0.5), (-60, 61), 120, id="0.5"),
+    pytest.param(Spiral(2.5), (-58, 63), 120, id="2.5"),
+    pytest.param(Spiral(2.001), (-58, 62), 120, id="2.001"),
+    pytest.param(Step(math.pi), (-20, 20), 30, id="step_pi"),
+    pytest.param(_MASK, (-20, 20), 30, id="mask"),
+    pytest.param(Spiral(2.0), (5, 8), 10, id="empty"),
+])
+def test_csv_equals_the_csv_writer_bytes(plate, l_window, p_max, tmp_path):
+    d = decompose_plate_output(plate, l_window=l_window, p_max=p_max)
+    d.write_csv(tmp_path / "streamed.csv")
+    _csv_by_csv_writer(d, tmp_path / "reference.csv")
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "reference.csv").read_bytes()
+    assert streamed.count(b"\r\n") == len(d.entries) + 1
+
+
+def test_cli_decompose_writes_the_in_process_rows(tmp_path, capsys):
+    out = tmp_path / "cli.csv"
+    assert main(["decompose", "--ell", "0.5", "--l-halfwidth", "40", "--p-max", "60",
+                 "--out", str(out)]) == 0
+    d = decompose_plate_output(Spiral(0.5), l_window=(-40, 40), p_max=60)
+    assert capsys.readouterr().out == f"{d.count_at(0.87)}\n"
+    _csv_by_csv_writer(d, tmp_path / "reference.csv")
+    assert out.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_decomposition_memory_per_entry():
+    # four columns of 8 + 8 + 16 + 8 B an entry; a Python tuple per entry
+    # would hold about 144 B an entry and peak near 237 while being built
+    args = dict(l_window=(-58, 63), p_max=200)
+    decompose_plate_output(Spiral(2.5), **args)  # first-call set-up outside the measurement
+    tracemalloc.start()
+    try:
+        d = decompose_plate_output(Spiral(2.5), **args)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(d.entries)
+    assert held <= 48 * n, f"held {held / n:.1f} B an entry"
+    assert peak <= 120 * n, f"peak {peak / n:.1f} B an entry"
+
+
+def test_row_view_contract():
+    d = decompose_plate_output(Spiral(2.5), l_window=(-58, 63), p_max=200)
+    rows = d.entries
+    old = tuple(zip(*(column.tolist() for column in rows.columns)))
+    assert len(rows) == len(old) == 24146
+    assert rows[0] == old[0] and rows[-1] == old[-1] and rows[3:9] == old[3:9]
+    assert isinstance(rows[3:9], tuple)
+    assert [tuple(map(type, row)) for row in (rows[0], rows[-1], *rows[3:9], *rows)] == (
+        [(int, int, complex, float)] * (8 + len(old)))
+    assert rows == old and old == rows and rows != () and rows != list(old)
+    other = decompose_plate_output(Spiral(2.5), l_window=(-58, 63), p_max=200).entries
+    assert other is not rows and rows == other
+    assert all(not column.flags.writeable for column in rows.columns)
+    with pytest.raises(ValueError):
+        rows.columns[3][0] = 0.0
+    power = rows.columns[3].copy()
+    power[100] = np.nextafter(power[100], 1.0)
+    changed = LgRows(*rows.columns[:3], power)
+    assert changed != rows and rows != changed and changed != old
+    assert hash(rows) == hash(old) == hash(other) and hash(d) == hash(d)
+    # view against view compares the columns: no row tuples are built
+    tracemalloc.start()
+    try:
+        assert rows == other and rows != changed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(rows), f"peak {peak / len(rows):.1f} B an entry"
 
 
 def test_decomposition_validation():
