@@ -5,14 +5,14 @@ piecewise-constant unimodular factors, which is exactly the family of states
 produced by azimuthal phase plates acting on integer-OAM eigenstates. It
 holds the piece table that ``plates.plate_state`` builds and evaluates it at
 one angle (``factor_at``) or at arrays of angles (``profile``); inner
-products between such states are evaluated analytically, piece by piece.
+products between such states are evaluated analytically, piece by piece,
+for a whole array of frequencies at once.
 ``AngularGrid`` is the uniform grid on which the oracle module samples each
 plate from its own definition to re-derive these results by quadrature.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -105,9 +105,10 @@ class ClosedForm:
         return fac
 
 
-def integer_mode(l: int) -> ClosedForm:
-    """OAM eigenstate |l>, i.e. e^{i*l*theta}/sqrt(2*pi)."""
-    return ClosedForm(float(l))
+def integer_mode(l) -> ClosedForm:
+    """OAM eigenstate |l>, i.e. e^{i*l*theta}/sqrt(2*pi); an array of l, one
+    state with that array for nu."""
+    return ClosedForm(l + 0.0)
 
 
 def _merge_boundaries(a: ClosedForm, b: ClosedForm):
@@ -116,24 +117,43 @@ def _merge_boundaries(a: ClosedForm, b: ClosedForm):
     return bs
 
 
-def inner_product(a, b) -> complex:
+def inner_product(a, b):
     """<a|b> = integral over [0, 2*pi) of conj(a) * b for two ClosedForm
-    states, exactly, piece by piece."""
-    dnu = b.nu - a.nu
+    states, exactly, piece by piece; a list of them when a nu is an array.
+
+    Each piece's cmath expression, quoted below, is evaluated for every dnu
+    at once, with CPython's complex product and Smith quotient written out
+    on the real and imaginary parts. Their x * 0.0 terms are left out: they
+    only sign zeros, and a signed zero added to the total, which starts at
+    +0.0, leaves it as it was. So every value has the cmath loop's bits."""
+    import numpy as np
+
+    dnu = np.asarray(b.nu - a.nu, dtype=float)
+    half, small = 0.5 * dnu, np.abs(dnu) < _NU_SMALL
+    big = np.where(small, 1.0, dnu)  # dnu where the second branch divides by it
+    tr, ti = np.zeros(dnu.shape), np.zeros(dnu.shape)
     bs = _merge_boundaries(a, b)
-    total = 0.0 + 0.0j
     for t0, t1 in zip(bs[:-1], bs[1:]):
         c = a.factor_at(t0).conjugate() * b.factor_at(t0)
-        if abs(dnu) < _NU_SMALL:
-            w, h = t1 - t0, 0.5 * dnu * (t1 - t0)
-            total += c * cmath.exp(0.5j * dnu * (t0 + t1)) * (w * (math.sin(h) / h) if h else w)
-        else:
-            total += c * (cmath.exp(1j * dnu * t1) - cmath.exp(1j * dnu * t0)) / (1j * dnu)
-    return total / TWO_PI
+        # c * cmath.exp(0.5j * dnu * (t0 + t1)) * (w * (math.sin(h) / h) if h else w)
+        w, h, phase = t1 - t0, half * (t1 - t0), half * (t0 + t1)
+        er, ei = np.cos(phase), np.sin(phase)
+        f = np.where(h != 0.0, w * (np.sin(h) / np.where(h != 0.0, h, 1.0)), w)
+        # c * (cmath.exp(1j * dnu * t1) - cmath.exp(1j * dnu * t0)) / (1j * dnu)
+        dr = np.cos(big * t1) - np.cos(big * t0)
+        di = np.sin(big * t1) - np.sin(big * t0)
+        tr += np.where(small, (c.real * er - c.imag * ei) * f, (c.real * di + c.imag * dr) / big)
+        ti += np.where(small, (c.real * ei + c.imag * er) * f, -(c.real * dr - c.imag * di) / big)
+    out = np.empty(dnu.shape, complex)  # total / TWO_PI
+    out.real, out.imag = tr / TWO_PI, ti / TWO_PI
+    return out.tolist()
 
 
 def oam_spectrum(state, l_min: int, l_max: int):
     """Amplitudes <l|state> for l in [l_min, l_max], as (l, amplitude) pairs."""
+    import numpy as np
+
     if l_min > l_max:
         raise ValueError("l_min must not exceed l_max")
-    return [(l, inner_product(integer_mode(l), state)) for l in range(l_min, l_max + 1)]
+    modes = integer_mode(np.arange(l_min, l_max + 1))
+    return list(zip(range(l_min, l_max + 1), inner_product(modes, state)))

@@ -38,8 +38,8 @@ from . import bell, overlap, plates
 # block of N/64 of their rows per thread, under 400 MiB at 4096; --budget
 # and --sectors set the search's mask evaluations and their size; --samples
 # the rows of a fringe; --p-max and --l-halfwidth the rows of a decomposition,
-# 406 118 at both bounds: 1.2 s and 120 MB a process from four columns, 2.2 s
-# and 151 MB from row tuples)
+# 406 118 at both bounds: 1.2 s and 73 MB a process, written in blocks of
+# rows, against 1.4 s and 120 MB with every row's Python scalars held at once)
 LIMITS = {
     "budget": 1_000_000,
     "sectors": 16,

@@ -132,8 +132,21 @@ class LgDecomposition:
         columns = (*self.entries.columns, self.cumulative_powers)
         with open(path, "w", newline="") as fh:
             fh.write("l,p,re,im,power,cumulative_power\r\n")
-            fh.writelines(f"{l},{p},{c.real:.12g},{c.imag:.12g},{w:.12g},{s:.12g}\r\n"
-                          for l, p, c, w, s in zip(*(column.tolist() for column in columns)))
+            for i in range(0, len(columns[0]), 4096):  # a block's Python scalars at a time
+                block = (column[i:i + 4096].tolist() for column in columns)
+                fh.writelines(f"{l},{p},{c.real:.12g},{c.imag:.12g},{w:.12g},{s:.12g}\r\n"
+                              for l, p, c, w, s in zip(*block))
+
+
+def _descending_order(w: np.ndarray) -> np.ndarray:
+    """np.argsort(-w, kind="stable"): the faster default sort, which leaves
+    equal values in any order, with each run of them back in ascending position."""
+    order = np.argsort(-w)
+    ranked = w[order]
+    tied = ranked[1:] == ranked[:-1]  # rank i ties with rank i + 1
+    runs = np.flatnonzero(np.append(tied, False) | np.append(False, tied))  # ranks in a run
+    order[runs] = order[runs][np.lexsort((order[runs], -ranked[runs]))]
+    return order
 
 
 def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
@@ -160,13 +173,14 @@ def decompose_plate_output(plate, l_window: tuple = (-60, 60), p_max: int = 120,
     radial = radial_overlaps(distinct, p_max)
     coeffs = np.array([a_l for _, a_l in kept], dtype=complex)[:, None] * radial[row_of]
     powers = np.abs(coeffs) ** 2
-    rows, ps = np.nonzero(powers > 1e-16)
-    # nonzero yields (row, p) in row-major order and rows ascend with l, so
-    # a stable sort on -power gives the order of the key (-power, l, p)
-    w = powers[rows, ps]
-    order = np.argsort(-w, kind="stable")
-    rows, ps = rows[order], ps[order]
-    entries = LgRows(ls[rows], ps, coeffs[rows, ps], w[order])
+    # flat indices ascend in (row, p) and rows ascend with l, so a stable
+    # sort on -power gives the order of the key (-power, l, p)
+    flat = np.flatnonzero(powers > 1e-16)
+    w = powers.ravel()[flat]
+    order = _descending_order(w)
+    flat, w = flat[order], w[order]
+    rows = flat // (p_max + 1)  # np.divmod and % skip numpy's fast division by a scalar
+    entries = LgRows(ls[rows], flat - rows * (p_max + 1), coeffs.ravel()[flat], w)
 
     angular_tail = 1.0 - sum(abs(a) ** 2 for _, a in angular)
     return LgDecomposition(entries, (l_min, l_max), p_max, target_power, angular_tail)

@@ -2,9 +2,13 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from oamsim import lgfield, oracle
 from oamsim.angular import TWO_PI, ClosedForm, oam_spectrum
 from oamsim.cli import main
 from oamsim.lgfield import (
-    LgRows, _cubic_spline_sample, decompose_plate_output, far_field, peak_radius, radial_overlaps)
+    LgRows, _cubic_spline_sample, _descending_order, decompose_plate_output, far_field, peak_radius,
+    radial_overlaps)
 from oamsim.plates import BinarySectors, Spiral, Step, plate_state
 
 
@@ -364,6 +369,85 @@ def test_row_view_contract():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(rows), f"peak {peak / len(rows):.1f} B an entry"
+
+
+def _stable_order_cases():
+    rng = np.random.default_rng(34)
+    for n in (2, 3, 10, 100, 1000, 3000):
+        for high in (1, 2, 5, 50):  # high = 1: every entry ties
+            yield rng.integers(0, high, n).astype(float)
+    yield from (np.full(17, 0.25), np.array([0.5]), np.array([]))
+
+
+@pytest.mark.parametrize("w", list(_stable_order_cases()), ids=len)
+def test_descending_order_is_the_stable_sort(w):
+    order = _descending_order(w)
+    assert order.dtype == np.intp
+    assert order.tolist() == np.argsort(-w, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("ell, l_window, p_max, tied_pairs", [
+    (0.5, (-60, 61), 120, 8), (2.5, (-58, 63), 200, 12)])
+def test_paper_decompositions_are_in_stable_order(ell, l_window, p_max, tied_pairs):
+    # the powers back in (l, p) order, as the decomposition sorts them
+    d = decompose_plate_output(Spiral(ell), l_window=l_window, p_max=p_max)
+    ls, ps, _, w = d.entries.columns
+    w = w[np.lexsort((ps, ls))]
+    assert _descending_order(w).tolist() == np.argsort(-w, kind="stable").tolist()
+    ranked = np.sort(w)
+    assert np.count_nonzero(ranked[1:] == ranked[:-1]) == tied_pairs
+
+
+def test_write_csv_memory_per_entry(tmp_path):
+    # the rows are formatted 4096 at a time, so the Python scalars of one
+    # block are live, not those of every row (135 B an entry at 24 146 rows)
+    d = decompose_plate_output(Spiral(2.5), l_window=(-58, 63), p_max=200)
+    d.write_csv(tmp_path / "warm-up.csv")
+    tracemalloc.start()
+    try:
+        d.write_csv(tmp_path / "measured.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(d.entries), f"peak {peak / len(d.entries):.1f} B an entry"
+    assert (tmp_path / "measured.csv").read_bytes() == (tmp_path / "warm-up.csv").read_bytes()
+
+
+# decomposes at the paper's two plates and near an integer, after printing
+# the numpy dispatch targets left enabled
+_DECOMPOSE_THREE = (
+    "from numpy._core import _multiarray_umath as umath\n"
+    "from oamsim.cli import main\n"
+    "print([f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]])\n"
+    "for ell in ('0.5', '2.5', '2.001'):\n"
+    "    main(['decompose', '--ell', ell, '--out', ell + '.csv'])\n")
+
+
+def test_decompose_bytes_agree_across_the_numpy_dispatch_levels(tmp_path):
+    # the spectrum's sin and cos and the default sort have SIMD loops: at
+    # every dispatch level the host's numpy offers, chosen by
+    # NPY_DISABLE_CPU_FEATURES in a child process alone, the bytes must agree
+    from numpy._core import _multiarray_umath as umath
+
+    offered = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    src = str(Path(lgfield.__file__).resolve().parents[1])
+    children = []
+    for k in range(len(offered) + 1):  # the baseline, then one more target each
+        (tmp_path / str(k)).mkdir()
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(offered[k:]),
+                   PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        env.pop("NPY_ENABLE_CPU_FEATURES", None)
+        children.append(subprocess.Popen([sys.executable, "-c", _DECOMPOSE_THREE], env=env,
+                                         cwd=tmp_path / str(k), stdout=subprocess.PIPE, text=True))
+    outputs = [child.communicate(timeout=120)[0].splitlines() for child in children]
+    levels = ["+".join(umath.__cpu_baseline__) or "baseline", *offered]
+    print("levels compared:", ", ".join(levels))
+    assert [child.returncode for child in children] == [0] * len(levels)
+    for k, lines in enumerate(outputs):
+        assert lines == [repr(offered[:k]), "12", "74", "7"], levels[k]
+        for ell in ("0.5", "2.5", "2.001"):
+            assert (tmp_path / str(k) / f"{ell}.csv").read_bytes() == (
+                tmp_path / "0" / f"{ell}.csv").read_bytes(), (levels[k], ell)
 
 
 def test_decomposition_validation():
