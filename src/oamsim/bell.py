@@ -8,12 +8,11 @@ parabolic fringes, where S = 16/5 holds exactly and tolerances would only
 mask sign errors. Its arithmetic is elementwise, so the mask search feeds
 it numpy arrays and scores a whole batch of masks in one pass.
 
-The search's random starts are the uniform draws of PCG64 streams seeded
-with seed * 7919 + start, reproduced in-package (``pcg64``) bit for bit as
-numpy's default_rng draws them. They descend in lockstep: each step scores
-in one batch the trials every unfinished start has left, and in a short
-round its later sweeps; a start at S = 4.0, which no float S exceeds, stops
-scoring.
+The search's random starts are 2 * sector_count draws TWO_PI * random() a
+start, in start order, from one random.Random(seed). They descend in
+lockstep: each step scores in one batch the trials every unfinished start
+has left, and in a short round its later sweeps; a start at S = 4.0, which
+no float S exceeds, stops scoring.
 The improvements are replayed in start order at the evaluation counts of a
 one-start-at-a-time loop, so the trace, the tie-breaks and the cut-off of
 the exploration half are that loop's; a start it would never reach is lost.
@@ -24,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -308,14 +308,13 @@ def search_max_s(sector_count: int, phi: float,
     """Maximize the Bell parameter over binary sector masks by multi-start
     coordinate descent on the 2*sector_count boundary angles.
 
-    Deterministic for a fixed seed; with ``budget`` = 0 the initial mask,
-    which must carry the search's phi, is evaluated without any search.
+    Deterministic for a fixed seed on every Python version, since Python
+    keeps random.Random(seed).random()'s sequence; with ``budget`` = 0 the
+    initial mask, which must carry the search's phi, is scored without a search.
     Returns the best mask found together with the (evaluation, best-S)
     trace; convergence is not guaranteed.
     """
     import numpy as np
-
-    from .pcg64 import uniform
 
     if sector_count < 1:
         raise ValueError("sector_count must be >= 1")
@@ -379,8 +378,9 @@ def search_max_s(sector_count: int, phi: float,
     # so no more than explore - evals of them can be reached
     n_starts = min(_N_STARTS, explore - evals)
     if n_starts > 0:
-        x = np.sort(uniform([seed * 7919 + start for start in range(n_starts)],
-                            0.0, TWO_PI, 2 * sector_count), axis=-1)
+        rng = random.Random(seed)
+        x = np.sort([[TWO_PI * rng.random() for _ in range(2 * sector_count)]
+                     for _ in range(n_starts)], axis=-1)
         s = score(x)
         used, events = _descend(score, x, s, per_start, math.pi / 4)
         # replay the starts one after another, as a sequential loop would

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -315,11 +316,11 @@ def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_
         x = np.array([v for ab in init_mask.sectors for v in ab])
         consider(objective(x), x)
     explore = max(budget // 2, 1)
+    rng = random.Random(seed)
     for start in range(bell._N_STARTS):
         if evals >= explore:
             break
-        rng = np.random.default_rng(seed * 7919 + start)
-        x = np.sort(rng.uniform(0.0, TWO_PI, size=2 * sector_count))
+        x = np.sort([TWO_PI * rng.random() for _ in range(2 * sector_count)])
         s = objective(x)
         consider(s, x)
         per_start = min(max(explore // bell._N_STARTS, 1), budget - evals)
@@ -482,7 +483,7 @@ def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
 def test_bench_shaped_searches_score_in_few_full_rounds(monkeypatch):
     # a work ratchet on the six searches of a benchmark bell round: score
     # calls and scored rows may not grow back (rounds that neither look
-    # ahead nor stop at the ceiling made 492 calls and 87175 rows here)
+    # ahead nor stop at the ceiling made 468 calls and 86085 rows here)
     calls, rows = 0, 0
     scorer = bell._mask_scorer
 
@@ -500,7 +501,7 @@ def test_bench_shaped_searches_score_in_few_full_rounds(monkeypatch):
     for sector_count in (2, 3, 4):
         for settings in (SPIRAL_SETTINGS, POLARIZATION_SETTINGS):
             search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
-    assert calls <= 229 and rows <= 79529
+    assert calls <= 214 and rows <= 76479
 
 
 def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
@@ -509,7 +510,7 @@ def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
     # from the widths and reads C only at the distinct folded angles, 6 of
     # the spiral settings and 8 of the polarization ones, none of them zero
     # (a delta = 0 column for |M| and the unfolded 8 and 10 angles read
-    # 8145520 elements here)
+    # 7716965 elements here)
     elements, angles = 0, set()
     covariogram = overlap.covariogram
 
@@ -526,7 +527,18 @@ def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
         for sector_count in (2, 3, 4):
             search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
         assert angles == {n_angles}
-    assert elements <= 5741658
+    assert elements <= 5447646
+
+
+def test_first_start_is_pinned_to_the_random_stream():
+    # at budget 1 the result is the first start: the first four draws of
+    # random.Random(0), sorted; a Python whose random() changed its
+    # sequence, or a search seeded another way, fails here (the replay
+    # tests' reference holds the order of the later starts' draws)
+    assert search_max_s(2, math.pi, budget=1, seed=0).mask.sectors == tuple(
+        tuple(float.fromhex(h) for h in ab) for ab in (
+            ("0x1.a07766c4120e8p+0", "0x1.523e656599dc9p+1"),
+            ("0x1.30caa304974b0p+2", "0x1.538feaa4932bap+2")))
 
 
 def test_search_is_deterministic():
