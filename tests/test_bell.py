@@ -541,6 +541,43 @@ def test_first_start_is_pinned_to_the_random_stream():
             ("0x1.30caa304974b0p+2", "0x1.538feaa4932bap+2")))
 
 
+def test_a_search_reaching_fewer_starts_draws_the_leading_starts(monkeypatch):
+    # the starts are drawn in start order and only as many as the search
+    # reaches, so a smaller budget's starts are the first rows of a larger one's
+    drawn = []
+    descend = bell._descend
+
+    def recording(score, x, s, max_evals, step):
+        drawn.append(x.copy())
+        return descend(score, x, s, max_evals, step)
+
+    monkeypatch.setattr(bell, "_descend", recording)
+    starts = {}
+    for budget in (20, 400):
+        drawn.clear()
+        search_max_s(3, math.pi, budget=budget, seed=5)
+        starts[budget] = drawn[0]
+    assert starts[20].shape == (10, 6) and starts[400].shape == (bell._N_STARTS, 6)
+    np.testing.assert_array_equal(starts[20], starts[400][:10])
+
+
+def test_search_leaves_the_global_random_states_alone():
+    # the search draws from a generator of its own, so a caller's module-level
+    # random and numpy streams go on where they were
+    saved = random.getstate(), np.random.get_state()
+    try:
+        random.seed(11)
+        np.random.seed(11)
+        search_max_s(2, math.pi, budget=300, seed=3)
+        after_search = random.random(), np.random.random()
+        random.seed(11)
+        np.random.seed(11)
+        assert after_search == (random.random(), np.random.random())
+    finally:
+        random.setstate(saved[0])
+        np.random.set_state(saved[1])
+
+
 def test_search_is_deterministic():
     a = search_max_s(2, math.pi, budget=800, seed=7)
     b = search_max_s(2, math.pi, budget=800, seed=7)
