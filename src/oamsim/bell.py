@@ -9,13 +9,11 @@ mask sign errors. Its arithmetic is elementwise, so the mask search feeds
 it numpy arrays and scores a whole batch of masks in one pass.
 
 The search's random starts are 2 * sector_count draws TWO_PI * random() a
-start, in start order, from one random.Random(seed). They descend in
-lockstep: each step scores in one batch the trials every unfinished start
-has left, and in a short round its later sweeps; a start at S = 4.0, which
+start, in start order, from one random.Random(seed). They climb in lockstep
+by best-improvement rounds: each scores, in one batch, every unfinished
+start's trials a step up and down each boundary angle, and moves the start
+to its best improving trial or halves its step. A start at S = 4.0, which
 no float S exceeds, stops scoring.
-The improvements are replayed in start order at the evaluation counts of a
-one-start-at-a-time loop, so the trace, the tie-breaks and the cut-off of
-the exploration half are that loop's; a start it would never reach is lost.
 """
 
 from __future__ import annotations
@@ -37,8 +35,6 @@ _PAIR_SIGNS = (1.0, -1.0, 1.0, 1.0)
 _FLOAT_FLOOR = 1e-15
 # random starts of the mask search's exploration half
 _N_STARTS = 64
-# trials a descent round looks ahead to; of 16, 32, ..., 256, 64 ran six bench searches fastest
-_ROUND_TRIALS = 64
 # No float S exceeds 4.0: by monotone rounding |((p0 + p1) - p2) - p3| <= ((p0 + p1) + p2) + p3
 # for rates p >= 0, so each |E| <= 1 and S = ((e0 - e1) + e2) + e3 <= 4.
 _S_CEILING = 4.0
@@ -247,58 +243,33 @@ def _mask_scorer(phi, settings):
     return score
 
 
-def _descend(score, x, s, max_evals, step):
-    """Coordinate descent of every row of x, (B, n) boundary vectors scoring
-    s, in lockstep: each round scores, in one batch, the (coordinate, +/-)
-    trials each active row's sweep has left and, while a round holds fewer
-    than _ROUND_TRIALS, whole later sweeps at the steps failing sweeps halve
-    to. Per row, only the trials up to its first improvement count, as one
-    trial at a time would have made them, and the sweep goes on from the next
-    coordinate. A row stops after max_evals trials, once its step falls to
-    1e-12, or at _S_CEILING, which no score exceeds, charged its trials left.
-    Returns each row's trial count and improvements as (trials so far, S, x)
-    lists; a row's trials are a prefix of any larger max_evals' trials."""
+def _maximise(score, x, s, budget, step, ceiling):
+    """Best-improvement coordinate ascent of the rows of x, (B, n) points
+    scoring s, in lockstep. Each round scores in one call every active row's
+    trials x +/- step along each coordinate, in (coordinate, +/-) order and
+    as many as its budget has left, and moves the row to its best improving
+    trial, the first of equal bests, or else halves its step. A row stops at
+    ``ceiling``, at a step of 1e-12 or after ``budget`` trials. Yields each
+    round's trial count and its moved rows as (indices, S, points)."""
     import numpy as np
 
-    n_rows, n = x.shape
-    x, s = x.copy(), np.array(s, dtype=float)
-    floor = 0  # the step after h halvings is step / 2**h, above 1e-12 for h < floor
-    while math.ldexp(step, -floor) > 1e-12:
-        floor += 1
-    h, first = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=int)
-    used, improved = np.zeros(n_rows, dtype=int), np.zeros(n_rows, dtype=bool)
-    events = [[] for _ in range(n_rows)]
-    while True:
-        later = floor - h - 1 + improved  # whole sweeps after the current one
-        top = np.flatnonzero((s >= _S_CEILING) & (h < floor))
-        used[top] = np.minimum(max_evals, used[top] + 2 * (n - first[top]) + 2 * n * later[top])
-        h[top] = floor
-        if not (active := np.flatnonzero((used < max_evals) & (h < floor))).size:
-            return used, events
-        rest, left = 2 * (n - first[active]), max_evals - used[active]
-        sweeps = -(-max(0, _ROUND_TRIALS - np.minimum(rest, left).sum()) // (2 * n * active.size))
-        counts = np.minimum(rest + 2 * n * np.minimum(sweeps, later[active]), left)
-        begins = np.cumsum(counts) - counts
-        row = np.repeat(active, counts)
-        offset = np.arange(row.size) - np.repeat(begins, counts)
-        sweep, slot = np.divmod(2 * first[row] + offset, 2 * n)  # slot: 2 * coordinate + sign
-        halvings = h[row] + sweep - (improved[row] & (sweep > 0))
-        trials = x[row]
-        trials[np.arange(row.size), slot // 2] += (1 - 2 * (slot % 2)) * np.ldexp(step, -halvings)
-        s_new = score(trials)
-        hit = np.minimum.reduceat(np.where(s_new > s[row], offset, row.size), begins)
-        found = hit < counts
-        last = begins + np.where(found, hit, counts - 1)
-        used[active] += last - begins + 1
-        h[active], first[active] = halvings[last], slot[last] // 2 + 1
-        improved[active] = found | (improved[active] & (sweep[last] == 0))
-        moved, rows_moved = active[found], last[found]
-        x[moved], s[moved] = trials[rows_moved], s_new[rows_moved]
-        for i, j in zip(moved.tolist(), rows_moved.tolist()):
-            events[i].append((int(used[i]), float(s_new[j]), trials[j].copy()))
-        swept = active[first[active] == n]
-        h[swept[~improved[swept]]] += 1
-        first[swept], improved[swept] = 0, False
+    x, s, n = x.copy(), np.array(s, dtype=float), x.shape[1]
+    steps, used = np.full(len(x), step), np.zeros(len(x), dtype=int)
+    # trial j steps coordinate j // 2 up for even j, down for odd j
+    moves = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None]
+    while (rows := np.flatnonzero((s < ceiling) & (steps > 1e-12) & (used < budget))).size:
+        take = np.arange(2 * n) < np.minimum(budget - used[rows], 2 * n)[:, None]
+        trials = x[rows, None, :] + steps[rows, None, None] * moves
+        s_new = np.full(take.shape, -math.inf)
+        s_new[take] = score(trials[take])
+        used[rows] += take.sum(axis=1)
+        best = s_new.argmax(axis=1)
+        s_best = s_new[np.arange(rows.size), best]
+        up = s_best > s[rows]
+        steps[rows[~up]] *= 0.5
+        moved = rows[up]
+        x[moved], s[moved] = trials[up, best[up]], s_best[up]
+        yield int(take.sum()), moved, s[moved], x[moved]
 
 
 def search_max_s(sector_count: int, phi: float,
@@ -306,13 +277,14 @@ def search_max_s(sector_count: int, phi: float,
                  budget: int = 20000, seed: int = 0,
                  init_mask: BinarySectors | None = None) -> MaskSearchResult:
     """Maximize the Bell parameter over binary sector masks by multi-start
-    coordinate descent on the 2*sector_count boundary angles.
+    coordinate ascent on the 2*sector_count boundary angles.
 
     Deterministic for a fixed seed on every Python version, since Python
     keeps random.Random(seed).random()'s sequence; with ``budget`` = 0 the
     initial mask, which must carry the search's phi, is scored without a search.
-    Returns the best mask found together with the (evaluation, best-S)
-    trace; convergence is not guaranteed.
+    Returns the best mask found, of the least sectors among equal S, and the
+    (masks scored so far, best S) trace at each rise of the best; convergence
+    is not guaranteed.
     """
     import numpy as np
 
@@ -328,73 +300,50 @@ def search_max_s(sector_count: int, phi: float,
         raise ValueError("seed must be >= 0")
     if init_mask is not None and init_mask.phi != phi:
         raise ValueError(f"the initial mask has phi {init_mask.phi!r}, the search phi {phi!r}")
-
-    score = _mask_scorer(phi, settings)
-    trace = []
-    evals = 0
-    best_s, best_key, best_mask, best_x = -math.inf, None, None, None
-
-    def consider(s, x, mask=None):
-        nonlocal best_s, best_key, best_mask, best_x
-        if s == -math.inf or s < best_s:
-            return
-        if mask is None:
-            starts, ends = _sectors(x)
-            mask = BinarySectors(phi, tuple(zip(starts.tolist(), ends.tolist())))
-        key = mask.sectors
-        if s > best_s or best_key is None or key < best_key:
-            best_s, best_key, best_mask, best_x = s, key, mask, x
-            trace.append((evals, s))
-
-    def replay(used, events, cap):
-        """Offer a descent's improvements within its first ``cap`` trials to
-        consider at their evaluation counts, then count the trials made."""
-        nonlocal evals
-        offset = evals
-        for trials, s, x in events:
-            if trials > cap:
-                break
-            evals = offset + trials
-            consider(s, x)
-        evals = offset + min(used, cap)
-
-    if init_mask is not None:
-        x0 = np.array([v for ab in init_mask.sectors for v in ab])
-        s0 = float(score(x0[None, :])[0])
-        evals += 1
-        consider(s0, x0, init_mask)
-        if budget == 0:
-            return MaskSearchResult(init_mask, s0, tuple(trace), settings)
-
-    if budget == 0:
+    if budget == 0 and init_mask is None:
         raise ValueError("budget 0 requires an initial mask to evaluate")
 
-    # half the budget, and at least the first start, explores from random
-    # starts; the other half polishes the best point found with a fresh
-    # full-size step schedule
+    score = _mask_scorer(phi, settings)
+    trace, evals = [], 0
+    best_s, best_mask, best_x = -math.inf, None, None
+
+    def offer(rounds, mask=None):
+        """Count each of the rounds' trials, then offer its (B,) S and (B, n)
+        points to the best in row order; ``mask`` is a one-row round's mask."""
+        nonlocal evals, best_s, best_mask, best_x
+        for trials, _, s_rows, x_rows in rounds:
+            evals += trials
+            for s, x in zip(s_rows.tolist(), x_rows):
+                if s == -math.inf or s < best_s:
+                    continue
+                starts, ends = _sectors(x)
+                row_mask = mask or BinarySectors(phi, tuple(zip(starts.tolist(), ends.tolist())))
+                if s > best_s:
+                    trace.append((evals, s))
+                elif row_mask.sectors >= best_mask.sectors:
+                    continue
+                best_s, best_mask, best_x = s, row_mask, x
+
+    if init_mask is not None:
+        x0 = np.array([[v for ab in init_mask.sectors for v in ab]])
+        s0 = score(x0)
+        offer([(1, None, s0, x0)], init_mask)
+        if budget == 0:
+            return MaskSearchResult(init_mask, float(s0[0]), tuple(trace), settings)
+
+    # half the budget, and at least the first start, explores from random starts
+    # on equal shares; the other half polishes the best point from a step of pi/8
     explore = max(budget // 2, 1)
-    per_start = max(explore // _N_STARTS, 1)
-    # the starts descend in lockstep; each takes at least one evaluation,
-    # so no more than explore - evals of them can be reached
-    n_starts = min(_N_STARTS, explore - evals)
-    if n_starts > 0:
+    if (n_starts := min(_N_STARTS, explore - evals)) > 0:
         rng = random.Random(seed)
         x = np.sort([[TWO_PI * rng.random() for _ in range(2 * sector_count)]
                      for _ in range(n_starts)], axis=-1)
         s = score(x)
-        used, events = _descend(score, x, s, per_start, math.pi / 4)
-        # replay the starts one after another, as a sequential loop would
-        # have run them: its evaluation counts, trace and cut-off at explore
-        for start in range(n_starts):
-            if evals >= explore:
-                break
-            evals += 1
-            consider(float(s[start]), x[start])
-            replay(int(used[start]), events[start], min(per_start, budget - evals))
+        offer([(n_starts, None, s, x)])
+        per_start = min(max(explore // _N_STARTS, 1), budget - evals)
+        offer(_maximise(score, x, s, per_start, math.pi / 4, _S_CEILING))
 
     if best_mask is None:
         raise DegenerateFringeError("search found no non-degenerate mask")
-    if evals < budget:
-        used, events = _descend(score, best_x[None, :], [best_s], budget - evals, math.pi / 8)
-        replay(int(used[0]), events[0], budget - evals)
+    offer(_maximise(score, best_x[None, :], [best_s], budget - evals, math.pi / 8, _S_CEILING))
     return MaskSearchResult(best_mask, best_s, tuple(trace), settings)

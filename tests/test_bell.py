@@ -269,113 +269,6 @@ def test_search_rejects_an_initial_mask_of_another_phi():
     assert search_max_s(1, math.pi / 2, budget=0, init_mask=quarter).s == s_quarter
 
 
-def _descend_one_trial_at_a_time(objective, x, s_cur, max_evals, step, on_improvement):
-    """One row's coordinate descent with every trial scored alone, in the
-    order a sweep visits them: the loop _descend must reproduce. Hands each
-    improvement to on_improvement(S, x) and returns the trials made."""
-    used = 0
-    while used < max_evals and step > 1e-12:
-        improved = False
-        for i in range(len(x)):
-            for sign in (1.0, -1.0):
-                if used >= max_evals:
-                    return used
-                trial = x.copy()
-                trial[i] += sign * step
-                s_new = objective(trial)
-                used += 1
-                if s_new > s_cur:
-                    x, s_cur, improved = trial, s_new, True
-                    on_improvement(s_new, trial)
-                    break
-        if not improved:
-            step *= 0.5
-    return used
-
-
-def _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_mask=None):
-    """search_max_s with the random starts run one after another and every
-    trial scored alone: the reference the lockstep descent and its replay
-    must reproduce."""
-    score = bell._mask_scorer(phi, settings)
-    evals, trace, best = 0, [], {"s": -math.inf, "key": None, "x": None}
-
-    def objective(x):
-        nonlocal evals
-        evals += 1
-        return float(score(x[None, :])[0])
-
-    def consider(s, x):
-        b = np.sort(np.mod(x, TWO_PI))
-        key = tuple(zip(b[0::2].tolist(), b[1::2].tolist()))
-        if s > best["s"] or (s == best["s"] > -math.inf and key < best["key"]):
-            best.update(s=s, key=key, x=x.copy())
-            trace.append((evals, s))
-
-    if init_mask is not None:
-        x = np.array([v for ab in init_mask.sectors for v in ab])
-        consider(objective(x), x)
-    explore = max(budget // 2, 1)
-    rng = random.Random(seed)
-    for start in range(bell._N_STARTS):
-        if evals >= explore:
-            break
-        x = np.sort([TWO_PI * rng.random() for _ in range(2 * sector_count)])
-        s = objective(x)
-        consider(s, x)
-        per_start = min(max(explore // bell._N_STARTS, 1), budget - evals)
-        _descend_one_trial_at_a_time(objective, x, s, per_start, math.pi / 4, consider)
-    if evals < budget:
-        _descend_one_trial_at_a_time(objective, best["x"].copy(), best["s"], budget - evals,
-                                     math.pi / 8, consider)
-    return BinarySectors(phi, best["key"]), best["s"], tuple(trace)
-
-
-def _assert_same_search(sector_count, phi, settings, budget, seed, init_mask=None):
-    result = search_max_s(sector_count, phi, settings, budget=budget, seed=seed,
-                          init_mask=init_mask)
-    reference = _search_one_trial_at_a_time(sector_count, phi, settings, budget, seed, init_mask)
-    assert (result.mask, result.s, result.trace) == reference
-    assert result.trace[-1][0] <= budget
-
-
-@pytest.mark.parametrize("settings", [SPIRAL_SETTINGS, POLARIZATION_SETTINGS],
-                         ids=["spiral", "polarization"])
-@pytest.mark.parametrize("sector_count", [1, 2, 3, 4])
-def test_batched_descent_makes_the_decisions_of_one_trial_at_a_time(sector_count, settings):
-    # budgets that are no multiple of a sweep's trials run out inside one;
-    # at budgets 1-3 the first start alone explores, at 127 the starts
-    # take two evaluations each and the cut-off falls after start 31
-    for seed, budget in ((0, 301), (4, 1203), (1, 1), (2, 2), (3, 3), (5, 127)):
-        _assert_same_search(sector_count, math.pi, settings, budget, seed)
-
-
-@pytest.mark.parametrize("sector_count, phi, settings, budget, seed, init", [
-    # 15 trials a start: the cut-off at 1000 evaluations falls before start 64
-    (3, math.pi, SPIRAL_SETTINGS, 2000, 6, None),
-    (2, math.pi, POLARIZATION_SETTINGS, 301, 8, ((0.0, 1.0), (2.0, 3.5))),
-    (1, math.pi, SPIRAL_SETTINGS, 2, 0, ((0.0, math.pi / 3),)),
-    (3, math.pi / 2, SPIRAL_SETTINGS, 1203, 9, None),
-    (2, math.pi / 2, POLARIZATION_SETTINGS, 301, 10, None),
-    (2, math.pi, SPIRAL_SETTINGS, 20000, 11, None),
-    # one sector at phi = 2 stays far below the ceiling, at S = 2.37
-    (1, 2.0, POLARIZATION_SETTINGS, 2000, 12, None),
-    # the largest search the CLI admits
-    (16, math.pi, SPIRAL_SETTINGS, 2000, 13, None),
-    # the polish's last round looks three sweeps ahead, and its budget runs
-    # out in the third
-    (2, math.pi, POLARIZATION_SETTINGS, 374, 15, None),
-    # the polish starts at S = 4 and is charged its trials unscored
-    (1, math.pi, SPIRAL_SETTINGS, 301, 14, ((0.0, math.pi / 2),)),
-], ids=["cut-off-before-last-start", "init-then-search", "init-then-polish",
-        "half-pi-spiral", "half-pi-polarization", "full-budget", "phi-2-below-ceiling",
-        "sixteen-sectors", "budget-ends-in-lookahead", "init-at-ceiling"])
-def test_lockstep_starts_replay_the_sequential_search(sector_count, phi, settings, budget,
-                                                      seed, init):
-    init_mask = None if init is None else BinarySectors(phi, init)
-    _assert_same_search(sector_count, phi, settings, budget, seed, init_mask)
-
-
 def test_budget_one_evaluates_the_first_start():
     result = search_max_s(3, math.pi, budget=1, seed=0)
     assert math.isfinite(result.s)
@@ -409,58 +302,148 @@ def test_no_mask_scores_above_the_ceiling(batch, phi, analyzers):
     assert (bell._mask_scorer(phi, analyzers)(batch) <= bell._S_CEILING).all()
 
 
-def _descent_reference(score, x, s, max_evals, step):
-    """_descend's (used, events) for each row, from the one-trial loop."""
-    out = []
-    for row, s_row in zip(x, s):
-        used, events = 0, []
+def _climb(score, x, budget, step):
+    """_maximise over the rows of x with every score call recorded: returns
+    the rows' initial S and the rounds as (batch scored, trials, moved rows,
+    their S, their points)."""
+    calls = []
 
-        def objective(trial):
-            nonlocal used
-            used += 1
-            return float(score(trial[None, :])[0])
+    def recording(trials):
+        calls.append(trials.copy())
+        return score(trials)
 
-        _descend_one_trial_at_a_time(objective, row, s_row, max_evals, step,
-                                     lambda s_new, trial: events.append((used, s_new, trial)))
-        out.append((used, events))
-    return out
-
-
-def _same_descent(got, reference):
-    used, events = got
-    assert used.tolist() == [u for u, _ in reference]
-    for row, (_, ref_events) in zip(events, reference):
-        assert [(u, s) for u, s, _ in row] == [(u, s) for u, s, _ in ref_events]
-        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(row, ref_events))
+    s0 = score(x)
+    rounds = [(calls[-1], *moves) for moves in bell._maximise(recording, x, s0, budget, step,
+                                                              bell._S_CEILING)]
+    assert len(calls) == len(rounds)
+    return s0, rounds
 
 
-def test_a_row_at_the_ceiling_is_charged_without_a_score_call():
+def _trials_of(point, batch):
+    """The rows of a batch one coordinate step away from point: its trials."""
+    return int(((batch != point).sum(axis=1) == 1).sum())
+
+
+# a row at the ceiling, rows that reach it, and one that cannot, in one batch
+_CLIMB_ROWS = np.array([[0.0, math.pi / 2], [0.1, 1.4], [2.0, 3.0], [1.0, 4.5]])
+
+
+@pytest.mark.parametrize("budget", [1, 3, 37, 150, 1000])
+@pytest.mark.parametrize("step", [math.pi / 8, 1e-9])
+def test_each_move_strictly_improves_its_row_within_its_budget(budget, step):
     score = bell._mask_scorer(math.pi, SPIRAL_SETTINGS)
-    quarter = np.array([[0.0, math.pi / 2]])
-    s = score(quarter)
-    assert s.tolist() == [4.0]
+    s0, rounds = _climb(score, _CLIMB_ROWS, budget, step)
+    s, x = s0.copy(), _CLIMB_ROWS.copy()
+    used = np.zeros(len(x), dtype=int)
+    for batch, trials, rows, s_moved, x_moved in rounds:
+        counts = [_trials_of(point, batch) for point in x]
+        assert sum(counts) == trials == len(batch)
+        used += counts
+        for i, s_new, x_new in zip(rows.tolist(), s_moved.tolist(), x_moved):
+            # a move is one of the row's trials, scoring strictly above it
+            assert s_new > s[i] and _trials_of(x[i], x_new[None, :]) == 1
+            assert score(x_new[None, :]).tolist() == [s_new]
+            s[i], x[i] = s_new, x_new
+    assert used.max() <= budget
+    assert used[0] == 0 and s.max() <= bell._S_CEILING
 
+
+def test_a_row_at_the_ceiling_is_never_scored_again():
     def no_call(trials):
         raise AssertionError("a row at the ceiling was scored")
 
-    # budgets that end inside the first sweep, a later one, and none
-    for max_evals in (1, 3, 50, 10000):
-        got = bell._descend(no_call, quarter, s, max_evals, math.pi / 8)
-        _same_descent(got, _descent_reference(score, quarter, s, max_evals, math.pi / 8))
-        # 39 sweeps of 4 trials, at steps pi/8 to pi/8 / 2**38 > 1e-12
-        assert got[0].tolist() == [min(max_evals, 4 * 39)]
+    quarter = _CLIMB_ROWS[:1]
+    for budget in (1, 50, 10000):
+        assert list(bell._maximise(no_call, quarter, [4.0], budget, math.pi / 8, 4.0)) == []
+    # a row that climbs to 4.0 leaves the later rounds' batches
+    s0, rounds = _climb(bell._mask_scorer(math.pi, SPIRAL_SETTINGS), _CLIMB_ROWS, 1000,
+                        math.pi / 8)
+    reached = 0
+    for n, (_, _, rows, s_moved, x_moved) in enumerate(rounds):
+        for s_new, x_new in zip(s_moved.tolist(), x_moved):
+            if s_new == 4.0:
+                reached += 1
+                assert all(_trials_of(x_new, later[0]) == 0 for later in rounds[n + 1:])
+    assert reached >= 1 and s0[0] == 4.0
 
 
-@pytest.mark.parametrize("max_evals", [2, 37, 150, 1000])
-@pytest.mark.parametrize("step", [math.pi / 8, 1e-9])
-def test_rows_at_and_below_the_ceiling_descend_as_one_trial_at_a_time(max_evals, step):
-    # a row that starts at the ceiling, rows that may reach it, and one that
-    # cannot, in one batch: charged once, looking ahead as the round empties
-    score = bell._mask_scorer(math.pi, SPIRAL_SETTINGS)
-    x = np.array([[0.0, math.pi / 2], [0.1, 1.4], [2.0, 3.0], [1.0, 4.5]])
-    s = score(x)
-    got = bell._descend(score, x, s, max_evals, step)
-    _same_descent(got, _descent_reference(score, x, s, max_evals, step))
+def test_a_round_moves_to_the_first_of_equal_best_trials():
+    # all four trials of (0, 0) reach the unit circle, where S peaks at the
+    # ceiling 0; the first, a step up coordinate 0, is taken and ends the climb
+    rounds = bell._maximise(lambda x: -abs((x ** 2).sum(axis=1) - 1), np.zeros((1, 2)),
+                            [-1.0], 100, 1.0, 0.0)
+    trials, rows, s, x = next(rounds)
+    assert (trials, rows.tolist(), s.tolist(), x.tolist()) == (4, [0], [0.0], [[1.0, 0.0]])
+    assert list(rounds) == []
+
+
+def _counting_scorer(monkeypatch):
+    """Count the score calls and rows of the mask search; returns the running
+    counts as {"calls": .., "rows": ..}."""
+    counts = {"calls": 0, "rows": 0}
+    scorer = bell._mask_scorer
+
+    def counting(phi, settings):
+        score = scorer(phi, settings)
+
+        def counted(trials):
+            counts["calls"] += 1
+            counts["rows"] += len(trials)
+            return score(trials)
+
+        return counted
+
+    monkeypatch.setattr(bell, "_mask_scorer", counting)
+    return counts
+
+
+@pytest.mark.parametrize("sector_count, phi, settings, budget, seed, init", [
+    (3, math.pi, SPIRAL_SETTINGS, 2000, 6, None),
+    (2, math.pi, POLARIZATION_SETTINGS, 301, 8, ((0.0, 1.0), (2.0, 3.5))),
+    (1, math.pi, SPIRAL_SETTINGS, 2, 0, ((0.0, math.pi / 3),)),
+    (1, math.pi, SPIRAL_SETTINGS, 1, 3, None),
+    (1, math.pi, SPIRAL_SETTINGS, 3, 3, None),
+    (3, math.pi / 2, SPIRAL_SETTINGS, 1203, 9, None),
+    (2, math.pi / 2, POLARIZATION_SETTINGS, 127, 10, None),
+    # one sector at phi = 2 stays far below the ceiling, at S = 2.37
+    (1, 2.0, POLARIZATION_SETTINGS, 2000, 12, None),
+    (16, math.pi, SPIRAL_SETTINGS, 2000, 13, None),
+    (1, math.pi, SPIRAL_SETTINGS, 301, 14, ((0.0, math.pi / 2),)),
+], ids=["spiral", "init-then-search", "init-then-polish", "budget-one", "first-start-alone",
+        "half-pi-spiral", "two-trials-a-start", "phi-2-below-ceiling", "sixteen-sectors",
+        "init-at-ceiling"])
+def test_the_trace_rises_strictly_within_the_budget(monkeypatch, sector_count, phi, settings,
+                                                    budget, seed, init):
+    scored = _counting_scorer(monkeypatch)
+    init_mask = None if init is None else BinarySectors(phi, init)
+    result = search_max_s(sector_count, phi, settings, budget=budget, seed=seed,
+                          init_mask=init_mask)
+    counts, s = zip(*result.trace)
+    assert all(a < b for a, b in zip(s, s[1:])) and s[-1] == result.s
+    assert list(counts) == sorted(counts) and counts[-1] <= scored["rows"] <= budget
+
+
+def test_equal_s_keeps_the_least_sectors(monkeypatch):
+    # every mask scores alike, so no move improves, the result is the start
+    # of the least sectors and the trace holds only the first best
+    monkeypatch.setattr(bell, "_mask_scorer", lambda phi, settings: lambda x: np.ones(len(x)))
+    result = search_max_s(2, math.pi, budget=400, seed=5)
+    rng = random.Random(5)
+    starts = [sorted(TWO_PI * rng.random() for _ in range(4)) for _ in range(bell._N_STARTS)]
+    assert result.mask.sectors == min(tuple(zip(b[0::2], b[1::2])) for b in starts)
+    assert result.trace == ((bell._N_STARTS, 1.0),)
+
+
+@pytest.mark.parametrize("budget", [2000, 20000])
+@pytest.mark.parametrize("sector_count", [1, 2, 3, 4])
+def test_every_spiral_search_of_few_sectors_reaches_four(sector_count, budget):
+    assert {search_max_s(sector_count, math.pi, budget=budget, seed=seed).s
+            for seed in range(20)} == {4.0}
+
+
+def test_the_one_sector_polarization_optimum():
+    result = search_max_s(1, math.pi, POLARIZATION_SETTINGS, budget=20000, seed=0)
+    assert "%.12g" % result.s == "3.32057416268"
 
 
 def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
@@ -482,26 +465,13 @@ def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
 
 def test_bench_shaped_searches_score_in_few_full_rounds(monkeypatch):
     # a work ratchet on the six searches of a benchmark bell round: score
-    # calls and scored rows may not grow back (rounds that neither look
-    # ahead nor stop at the ceiling made 468 calls and 86085 rows here)
-    calls, rows = 0, 0
-    scorer = bell._mask_scorer
-
-    def counting_scorer(phi, settings):
-        score = scorer(phi, settings)
-
-        def counted(trials):
-            nonlocal calls, rows
-            calls, rows = calls + 1, rows + len(trials)
-            return score(trials)
-
-        return counted
-
-    monkeypatch.setattr(bell, "_mask_scorer", counting_scorer)
+    # calls and scored rows may not grow back (a descent that replayed a
+    # one-trial-at-a-time loop made 214 calls and 76479 rows here)
+    scored = _counting_scorer(monkeypatch)
     for sector_count in (2, 3, 4):
         for settings in (SPIRAL_SETTINGS, POLARIZATION_SETTINGS):
             search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
-    assert calls <= 214 and rows <= 76479
+    assert scored["calls"] <= 164 and scored["rows"] <= 49224
 
 
 def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
@@ -510,7 +480,7 @@ def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
     # from the widths and reads C only at the distinct folded angles, 6 of
     # the spiral settings and 8 of the polarization ones, none of them zero
     # (a delta = 0 column for |M| and the unfolded 8 and 10 angles read
-    # 7716965 elements here)
+    # 7716965 elements here, and the replayed descent 5447646)
     elements, angles = 0, set()
     covariogram = overlap.covariogram
 
@@ -527,14 +497,14 @@ def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
         for sector_count in (2, 3, 4):
             search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
         assert angles == {n_angles}
-    assert elements <= 5447646
+    assert elements <= 3425880
 
 
 def test_first_start_is_pinned_to_the_random_stream():
     # at budget 1 the result is the first start: the first four draws of
     # random.Random(0), sorted; a Python whose random() changed its
-    # sequence, or a search seeded another way, fails here (the replay
-    # tests' reference holds the order of the later starts' draws)
+    # sequence, or a search seeded another way, fails here (the next test
+    # holds the order of the later starts' draws)
     assert search_max_s(2, math.pi, budget=1, seed=0).mask.sectors == tuple(
         tuple(float.fromhex(h) for h in ab) for ab in (
             ("0x1.a07766c4120e8p+0", "0x1.523e656599dc9p+1"),
@@ -545,13 +515,13 @@ def test_a_search_reaching_fewer_starts_draws_the_leading_starts(monkeypatch):
     # the starts are drawn in start order and only as many as the search
     # reaches, so a smaller budget's starts are the first rows of a larger one's
     drawn = []
-    descend = bell._descend
+    maximise = bell._maximise
 
-    def recording(score, x, s, max_evals, step):
+    def recording(score, x, *args):
         drawn.append(x.copy())
-        return descend(score, x, s, max_evals, step)
+        return maximise(score, x, *args)
 
-    monkeypatch.setattr(bell, "_descend", recording)
+    monkeypatch.setattr(bell, "_maximise", recording)
     starts = {}
     for budget in (20, 400):
         drawn.clear()
