@@ -243,21 +243,21 @@ def _mask_scorer(phi, settings):
     return score
 
 
-def _maximise(score, x, s, budget, step, ceiling):
+def _maximise(score, x, s, budget, step):
     """Best-improvement coordinate ascent of the rows of x, (B, n) points
     scoring s, in lockstep. Each round scores in one call every active row's
     trials x +/- step along each coordinate, in (coordinate, +/-) order and
     as many as its budget has left, and moves the row to its best improving
     trial, the first of equal bests, or else halves its step. A row stops at
-    ``ceiling``, at a step of 1e-12 or after ``budget`` trials. Yields each
-    round's trial count and its moved rows as (indices, S, points)."""
+    _S_CEILING, at a step of 1e-12 or after ``budget`` trials. Yields each
+    round's trial count and its moved rows' S and points, in row order."""
     import numpy as np
 
     x, s, n = x.copy(), np.array(s, dtype=float), x.shape[1]
     steps, used = np.full(len(x), step), np.zeros(len(x), dtype=int)
     # trial j steps coordinate j // 2 up for even j, down for odd j
     moves = np.repeat(np.eye(n), 2, axis=0) * np.tile([1.0, -1.0], n)[:, None]
-    while (rows := np.flatnonzero((s < ceiling) & (steps > 1e-12) & (used < budget))).size:
+    while (rows := np.flatnonzero((s < _S_CEILING) & (steps > 1e-12) & (used < budget))).size:
         take = np.arange(2 * n) < np.minimum(budget - used[rows], 2 * n)[:, None]
         trials = x[rows, None, :] + steps[rows, None, None] * moves
         s_new = np.full(take.shape, -math.inf)
@@ -269,7 +269,7 @@ def _maximise(score, x, s, budget, step, ceiling):
         steps[rows[~up]] *= 0.5
         moved = rows[up]
         x[moved], s[moved] = trials[up, best[up]], s_best[up]
-        yield int(take.sum()), moved, s[moved], x[moved]
+        yield int(take.sum()), s[moved], x[moved]
 
 
 def search_max_s(sector_count: int, phi: float,
@@ -311,13 +311,13 @@ def search_max_s(sector_count: int, phi: float,
         """Count each of the rounds' trials, then offer its (B,) S and (B, n)
         points to the best in row order; ``mask`` is a one-row round's mask."""
         nonlocal evals, best_s, best_mask, best_x
-        for trials, _, s_rows, x_rows in rounds:
+        for trials, s_rows, x_rows in rounds:
             evals += trials
             for s, x in zip(s_rows.tolist(), x_rows):
                 if s == -math.inf or s < best_s:
                     continue
-                starts, ends = _sectors(x)
-                row_mask = mask or BinarySectors(phi, tuple(zip(starts.tolist(), ends.tolist())))
+                if (row_mask := mask) is None:
+                    row_mask = BinarySectors(phi, tuple(zip(*(b.tolist() for b in _sectors(x)))))
                 if s > best_s:
                     trace.append((evals, s))
                 elif row_mask.sectors >= best_mask.sectors:
@@ -327,7 +327,7 @@ def search_max_s(sector_count: int, phi: float,
     if init_mask is not None:
         x0 = np.array([[v for ab in init_mask.sectors for v in ab]])
         s0 = score(x0)
-        offer([(1, None, s0, x0)], init_mask)
+        offer([(1, s0, x0)], init_mask)
         if budget == 0:
             return MaskSearchResult(init_mask, float(s0[0]), tuple(trace), settings)
 
@@ -339,11 +339,11 @@ def search_max_s(sector_count: int, phi: float,
         x = np.sort([[TWO_PI * rng.random() for _ in range(2 * sector_count)]
                      for _ in range(n_starts)], axis=-1)
         s = score(x)
-        offer([(n_starts, None, s, x)])
+        offer([(n_starts, s, x)])
         per_start = min(max(explore // _N_STARTS, 1), budget - evals)
-        offer(_maximise(score, x, s, per_start, math.pi / 4, _S_CEILING))
+        offer(_maximise(score, x, s, per_start, math.pi / 4))
 
     if best_mask is None:
         raise DegenerateFringeError("search found no non-degenerate mask")
-    offer(_maximise(score, best_x[None, :], [best_s], budget - evals, math.pi / 8, _S_CEILING))
+    offer(_maximise(score, best_x[None, :], [best_s], budget - evals, math.pi / 8))
     return MaskSearchResult(best_mask, best_s, tuple(trace), settings)

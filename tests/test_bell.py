@@ -305,16 +305,23 @@ def test_no_mask_scores_above_the_ceiling(batch, phi, analyzers):
 def _climb(score, x, budget, step):
     """_maximise over the rows of x with every score call recorded: returns
     the rows' initial S and the rounds as (batch scored, trials, moved rows,
-    their S, their points)."""
+    their S, their points), each moved row being the one row its new point
+    is a trial of."""
     calls = []
 
     def recording(trials):
         calls.append(trials.copy())
         return score(trials)
 
-    s0 = score(x)
-    rounds = [(calls[-1], *moves) for moves in bell._maximise(recording, x, s0, budget, step,
-                                                              bell._S_CEILING)]
+    s0, x = score(x), x.copy()
+    rounds = []
+    for trials, s_moved, x_moved in bell._maximise(recording, x, s0, budget, step):
+        rows = []
+        for point in x_moved:
+            (i,) = [i for i, row in enumerate(x) if _trials_of(row, point[None, :]) == 1]
+            rows.append(i)
+        rounds.append((calls[-1], trials, np.array(rows, dtype=int), s_moved, x_moved))
+        x[rows] = x_moved
     assert len(calls) == len(rounds)
     return s0, rounds
 
@@ -339,9 +346,10 @@ def test_each_move_strictly_improves_its_row_within_its_budget(budget, step):
         counts = [_trials_of(point, batch) for point in x]
         assert sum(counts) == trials == len(batch)
         used += counts
+        assert (np.diff(rows) > 0).all()
         for i, s_new, x_new in zip(rows.tolist(), s_moved.tolist(), x_moved):
             # a move is one of the row's trials, scoring strictly above it
-            assert s_new > s[i] and _trials_of(x[i], x_new[None, :]) == 1
+            assert s_new > s[i]
             assert score(x_new[None, :]).tolist() == [s_new]
             s[i], x[i] = s_new, x_new
     assert used.max() <= budget
@@ -354,7 +362,7 @@ def test_a_row_at_the_ceiling_is_never_scored_again():
 
     quarter = _CLIMB_ROWS[:1]
     for budget in (1, 50, 10000):
-        assert list(bell._maximise(no_call, quarter, [4.0], budget, math.pi / 8, 4.0)) == []
+        assert list(bell._maximise(no_call, quarter, [4.0], budget, math.pi / 8)) == []
     # a row that climbs to 4.0 leaves the later rounds' batches
     s0, rounds = _climb(bell._mask_scorer(math.pi, SPIRAL_SETTINGS), _CLIMB_ROWS, 1000,
                         math.pi / 8)
@@ -369,11 +377,11 @@ def test_a_row_at_the_ceiling_is_never_scored_again():
 
 def test_a_round_moves_to_the_first_of_equal_best_trials():
     # all four trials of (0, 0) reach the unit circle, where S peaks at the
-    # ceiling 0; the first, a step up coordinate 0, is taken and ends the climb
-    rounds = bell._maximise(lambda x: -abs((x ** 2).sum(axis=1) - 1), np.zeros((1, 2)),
-                            [-1.0], 100, 1.0, 0.0)
-    trials, rows, s, x = next(rounds)
-    assert (trials, rows.tolist(), s.tolist(), x.tolist()) == (4, [0], [0.0], [[1.0, 0.0]])
+    # ceiling 4.0; the first, a step up coordinate 0, is taken and ends the climb
+    rounds = bell._maximise(lambda x: 4.0 - abs((x ** 2).sum(axis=1) - 1), np.zeros((1, 2)),
+                            [3.0], 100, 1.0)
+    trials, s, x = next(rounds)
+    assert (trials, s.tolist(), x.tolist()) == (4, [4.0], [[1.0, 0.0]])
     assert list(rounds) == []
 
 
