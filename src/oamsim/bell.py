@@ -12,8 +12,8 @@ The search's random starts are 2 * sector_count draws TWO_PI * random() a
 start, in start order, from one random.Random(seed). They climb in lockstep
 by best-improvement rounds: each scores, in one batch, every unfinished
 start's trials a step up and down each boundary angle, and moves the start
-to its best improving trial or halves its step. A start at S = 4.0, which
-no float S exceeds, stops scoring.
+to its best improving trial or halves its step. No float S exceeds 4.0, so
+the search makes no score call once its best reaches S = 4.0.
 """
 
 from __future__ import annotations
@@ -282,9 +282,10 @@ def search_max_s(sector_count: int, phi: float,
     Deterministic for a fixed seed on every Python version, since Python
     keeps random.Random(seed).random()'s sequence; with ``budget`` = 0 the
     initial mask, which must carry the search's phi, is scored without a search.
-    Returns the best mask found, of the least sectors among equal S, and the
-    (masks scored so far, best S) trace at each rise of the best; convergence
-    is not guaranteed.
+    Returns the best mask found, of the least sectors among equal S offered
+    so far, and the (masks scored so far, best S) trace at each rise of the
+    best; convergence is not guaranteed. The search stops at its first best
+    of S = 4.0, after offering the rest of that score call's masks.
     """
     import numpy as np
 
@@ -309,7 +310,8 @@ def search_max_s(sector_count: int, phi: float,
 
     def offer(rounds, mask=None):
         """Count each of the rounds' trials, then offer its (B,) S and (B, n)
-        points to the best in row order; ``mask`` is a one-row round's mask."""
+        points to the best in row order, and pull no further round once the
+        best is _S_CEILING; ``mask`` is a one-row round's mask."""
         nonlocal evals, best_s, best_mask, best_x
         for trials, s_rows, x_rows in rounds:
             evals += trials
@@ -323,6 +325,8 @@ def search_max_s(sector_count: int, phi: float,
                 elif row_mask.sectors >= best_mask.sectors:
                     continue
                 best_s, best_mask, best_x = s, row_mask, x
+            if best_s == _S_CEILING:
+                return
 
     if init_mask is not None:
         x0 = np.array([[v for ab in init_mask.sectors for v in ab]])
@@ -334,14 +338,15 @@ def search_max_s(sector_count: int, phi: float,
     # half the budget, and at least the first start, explores from random starts
     # on equal shares; the other half polishes the best point from a step of pi/8
     explore = max(budget // 2, 1)
-    if (n_starts := min(_N_STARTS, explore - evals)) > 0:
+    if best_s < _S_CEILING and (n_starts := min(_N_STARTS, explore - evals)) > 0:
         rng = random.Random(seed)
         x = np.sort([[TWO_PI * rng.random() for _ in range(2 * sector_count)]
                      for _ in range(n_starts)], axis=-1)
         s = score(x)
         offer([(n_starts, s, x)])
-        per_start = min(max(explore // _N_STARTS, 1), budget - evals)
-        offer(_maximise(score, x, s, per_start, math.pi / 4))
+        if best_s < _S_CEILING:
+            per_start = min(max(explore // _N_STARTS, 1), budget - evals)
+            offer(_maximise(score, x, s, per_start, math.pi / 4))
 
     if best_mask is None:
         raise DegenerateFringeError("search found no non-degenerate mask")

@@ -385,27 +385,27 @@ def test_a_round_moves_to_the_first_of_equal_best_trials():
     assert list(rounds) == []
 
 
-def _counting_scorer(monkeypatch):
-    """Count the score calls and rows of the mask search; returns the running
-    counts as {"calls": .., "rows": ..}."""
-    counts = {"calls": 0, "rows": 0}
+def _recording_scorer(monkeypatch):
+    """Record each score call of the mask search as (its batch, their S);
+    returns the list the calls are appended to."""
+    calls = []
     scorer = bell._mask_scorer
 
-    def counting(phi, settings):
+    def recording(phi, settings):
         score = scorer(phi, settings)
 
-        def counted(trials):
-            counts["calls"] += 1
-            counts["rows"] += len(trials)
-            return score(trials)
+        def recorded(trials):
+            s = score(trials)
+            calls.append((trials.copy(), s))
+            return s
 
-        return counted
+        return recorded
 
-    monkeypatch.setattr(bell, "_mask_scorer", counting)
-    return counts
+    monkeypatch.setattr(bell, "_mask_scorer", recording)
+    return calls
 
 
-@pytest.mark.parametrize("sector_count, phi, settings, budget, seed, init", [
+_SEARCH_CASES = pytest.mark.parametrize("sector_count, phi, settings, budget, seed, init", [
     (3, math.pi, SPIRAL_SETTINGS, 2000, 6, None),
     (2, math.pi, POLARIZATION_SETTINGS, 301, 8, ((0.0, 1.0), (2.0, 3.5))),
     (1, math.pi, SPIRAL_SETTINGS, 2, 0, ((0.0, math.pi / 3),)),
@@ -417,18 +417,58 @@ def _counting_scorer(monkeypatch):
     (1, 2.0, POLARIZATION_SETTINGS, 2000, 12, None),
     (16, math.pi, SPIRAL_SETTINGS, 2000, 13, None),
     (1, math.pi, SPIRAL_SETTINGS, 301, 14, ((0.0, math.pi / 2),)),
+    # two sectors reach 4.0 in the first round of the climb, with other starts still climbing
+    (2, math.pi, SPIRAL_SETTINGS, 2000, 1, None),
 ], ids=["spiral", "init-then-search", "init-then-polish", "budget-one", "first-start-alone",
         "half-pi-spiral", "two-trials-a-start", "phi-2-below-ceiling", "sixteen-sectors",
-        "init-at-ceiling"])
+        "init-at-ceiling", "four-in-the-climb"])
+
+
+def _search_case(monkeypatch, sector_count, phi, settings, budget, seed, init):
+    """One search of _SEARCH_CASES with its score calls recorded: (result, calls)."""
+    calls = _recording_scorer(monkeypatch)
+    init_mask = None if init is None else BinarySectors(phi, init)
+    return search_max_s(sector_count, phi, settings, budget=budget, seed=seed,
+                        init_mask=init_mask), calls
+
+
+@_SEARCH_CASES
 def test_the_trace_rises_strictly_within_the_budget(monkeypatch, sector_count, phi, settings,
                                                     budget, seed, init):
-    scored = _counting_scorer(monkeypatch)
-    init_mask = None if init is None else BinarySectors(phi, init)
-    result = search_max_s(sector_count, phi, settings, budget=budget, seed=seed,
-                          init_mask=init_mask)
+    result, calls = _search_case(monkeypatch, sector_count, phi, settings, budget, seed, init)
     counts, s = zip(*result.trace)
     assert all(a < b for a, b in zip(s, s[1:])) and s[-1] == result.s
-    assert list(counts) == sorted(counts) and counts[-1] <= scored["rows"] <= budget
+    assert list(counts) == sorted(counts) and counts[-1] <= sum(len(b) for b, _ in calls) <= budget
+
+
+@_SEARCH_CASES
+def test_no_score_call_follows_one_that_reaches_the_ceiling(monkeypatch, sector_count, phi,
+                                                          settings, budget, seed, init):
+    # no float S exceeds 4.0, so a search whose best reaches it is done
+    result, calls = _search_case(monkeypatch, sector_count, phi, settings, budget, seed, init)
+    reached = [n for n, (_, s) in enumerate(calls) if (s == bell._S_CEILING).any()]
+    assert reached == ([len(calls) - 1] if result.s == bell._S_CEILING else [])
+
+
+def test_a_search_that_reaches_the_ceiling_at_once_scores_once(monkeypatch):
+    # the default search reaches 4.0 among its starts, and a quarter-sector
+    # initial mask scores 4.0 itself, before any start is drawn
+    calls = _recording_scorer(monkeypatch)
+    assert search_max_s(3, math.pi).s == bell._S_CEILING
+    assert [len(batch) for batch, _ in calls] == [bell._N_STARTS]
+    calls.clear()
+    quarter = BinarySectors(math.pi, ((0.0, math.pi / 2),))
+    result = search_max_s(1, math.pi, budget=301, seed=14, init_mask=quarter)
+    assert [len(batch) for batch, _ in calls] == [1]
+    assert result.mask == quarter and result.trace == ((1, bell._S_CEILING),)
+
+
+def _least_sectors_start(sector_count, seed):
+    """The sectors of the least of a search's random starts."""
+    rng = random.Random(seed)
+    starts = [sorted(TWO_PI * rng.random() for _ in range(2 * sector_count))
+              for _ in range(bell._N_STARTS)]
+    return min(tuple(zip(b[0::2], b[1::2])) for b in starts)
 
 
 def test_equal_s_keeps_the_least_sectors(monkeypatch):
@@ -436,10 +476,19 @@ def test_equal_s_keeps_the_least_sectors(monkeypatch):
     # of the least sectors and the trace holds only the first best
     monkeypatch.setattr(bell, "_mask_scorer", lambda phi, settings: lambda x: np.ones(len(x)))
     result = search_max_s(2, math.pi, budget=400, seed=5)
-    rng = random.Random(5)
-    starts = [sorted(TWO_PI * rng.random() for _ in range(4)) for _ in range(bell._N_STARTS)]
-    assert result.mask.sectors == min(tuple(zip(b[0::2], b[1::2])) for b in starts)
+    assert result.mask.sectors == _least_sectors_start(2, 5)
     assert result.trace == ((bell._N_STARTS, 1.0),)
+
+
+def test_equal_s_at_the_ceiling_keeps_the_least_sectors_of_the_round(monkeypatch):
+    # every mask scores 4.0, so the starts' one call ends the search, and
+    # its whole batch is still offered to the least-sectors tie-break
+    monkeypatch.setattr(bell, "_mask_scorer", lambda phi, settings: lambda x: np.full(len(x), 4.0))
+    calls = _recording_scorer(monkeypatch)
+    result = search_max_s(2, math.pi, budget=400, seed=5)
+    assert [len(batch) for batch, _ in calls] == [bell._N_STARTS]
+    assert result.mask.sectors == _least_sectors_start(2, 5)
+    assert result.trace == ((bell._N_STARTS, 4.0),)
 
 
 @pytest.mark.parametrize("budget", [2000, 20000])
@@ -474,12 +523,13 @@ def test_no_covariogram_call_exceeds_the_element_cap(monkeypatch):
 def test_bench_shaped_searches_score_in_few_full_rounds(monkeypatch):
     # a work ratchet on the six searches of a benchmark bell round: score
     # calls and scored rows may not grow back (a descent that replayed a
-    # one-trial-at-a-time loop made 214 calls and 76479 rows here)
-    scored = _counting_scorer(monkeypatch)
+    # one-trial-at-a-time loop made 214 calls and 76479 rows here, and a
+    # search that went on scoring past S = 4.0 164 calls and 49224 rows)
+    calls = _recording_scorer(monkeypatch)
     for sector_count in (2, 3, 4):
         for settings in (SPIRAL_SETTINGS, POLARIZATION_SETTINGS):
             search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
-    assert scored["calls"] <= 164 and scored["rows"] <= 49224
+    assert len(calls) <= 117 and sum(len(batch) for batch, _ in calls) <= 27244
 
 
 def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
@@ -488,7 +538,8 @@ def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
     # from the widths and reads C only at the distinct folded angles, 6 of
     # the spiral settings and 8 of the polarization ones, none of them zero
     # (a delta = 0 column for |M| and the unfolded 8 and 10 angles read
-    # 7716965 elements here, and the replayed descent 5447646)
+    # 7716965 elements here, the replayed descent 5447646, and the search
+    # that went on scoring past S = 4.0 3425880)
     elements, angles = 0, set()
     covariogram = overlap.covariogram
 
@@ -505,7 +556,7 @@ def test_bench_shaped_searches_read_few_covariogram_elements(monkeypatch):
         for sector_count in (2, 3, 4):
             search_max_s(sector_count, math.pi, settings, budget=20000, seed=0)
         assert angles == {n_angles}
-    assert elements <= 3425880
+    assert elements <= 1895328
 
 
 def test_first_start_is_pinned_to_the_random_stream():
@@ -522,19 +573,12 @@ def test_first_start_is_pinned_to_the_random_stream():
 def test_a_search_reaching_fewer_starts_draws_the_leading_starts(monkeypatch):
     # the starts are drawn in start order and only as many as the search
     # reaches, so a smaller budget's starts are the first rows of a larger one's
-    drawn = []
-    maximise = bell._maximise
-
-    def recording(score, x, *args):
-        drawn.append(x.copy())
-        return maximise(score, x, *args)
-
-    monkeypatch.setattr(bell, "_maximise", recording)
+    calls = _recording_scorer(monkeypatch)
     starts = {}
     for budget in (20, 400):
-        drawn.clear()
+        calls.clear()
         search_max_s(3, math.pi, budget=budget, seed=5)
-        starts[budget] = drawn[0]
+        starts[budget] = calls[0][0]
     assert starts[20].shape == (10, 6) and starts[400].shape == (bell._N_STARTS, 6)
     np.testing.assert_array_equal(starts[20], starts[400][:10])
 
